@@ -17,7 +17,9 @@ the same bytes. Any flipped byte fails the checksum.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -32,6 +34,15 @@ MAGIC = b"MVCK"
 VERSION = 1
 _PREFIX = struct.Struct("<4sII")
 _CRC = struct.Struct("<I")
+
+
+@contextlib.contextmanager
+def _malformed(what: str):
+    # a header that passed the checksum but holds the wrong keys or types
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise FormatError(f"malformed {what}: {exc!r}") from None
 
 
 def pack_container(header: dict, arrays: list[tuple[str, np.ndarray]]) -> bytes:
@@ -61,20 +72,23 @@ def unpack_container(data: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     header_end = _PREFIX.size + header_len
     if header_end > len(body):
         raise CorruptionError("header length exceeds container size")
-    header = json.loads(body[_PREFIX.size:header_end].decode("utf-8"))
     arrays: dict[str, np.ndarray] = {}
     offset = header_end
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 8
-        if offset + nbytes > len(body):
-            raise CorruptionError(f"payload truncated at array {entry['name']!r}")
-        arrays[entry["name"]] = (
-            np.frombuffer(body, dtype="<f8", count=nbytes // 8, offset=offset)
-            .reshape(shape)
-            .astype(np.float64)
-        )
-        offset += nbytes
+    with _malformed("container header"):
+        header = json.loads(body[_PREFIX.size:header_end].decode("utf-8"))
+        for entry in header["arrays"]:
+            name, shape = entry["name"], tuple(entry["shape"])
+            if not all(type(d) is int and d >= 0 for d in shape):
+                raise FormatError(f"array {name!r} has a bad shape {list(shape)}")
+            nbytes = math.prod(shape) * 8
+            if offset + nbytes > len(body):
+                raise CorruptionError(f"payload truncated at array {name!r}")
+            arrays[name] = (
+                np.frombuffer(body, dtype="<f8", count=nbytes // 8, offset=offset)
+                .reshape(shape)
+                .astype(np.float64)
+            )
+            offset += nbytes
     if offset != len(body):
         raise CorruptionError(f"{len(body) - offset} unexpected trailing payload bytes")
     return header, arrays
@@ -99,16 +113,17 @@ def _model_arrays(model: ScoringModel) -> list[tuple[str, np.ndarray]]:
 
 
 def _model_from(header: dict, arrays: dict[str, np.ndarray]) -> ScoringModel:
-    m = header["model"]
-    cfg = ScorerConfig(
-        layer_dims=tuple(m["layer_dims"]),
-        hidden_activation=m["hidden_activation"],
-        output_activation=m["output_activation"],
-        dropout_rate=m["dropout_rate"],
-    )
-    weights = [arrays[f"w{l}"] for l in range(cfg.num_layers)]
-    biases = [arrays[f"b{l}"] for l in range(cfg.num_layers)]
-    return ScoringModel(cfg, weights, biases)
+    with _malformed("model header"):
+        m = header["model"]
+        cfg = ScorerConfig(
+            layer_dims=tuple(m["layer_dims"]),
+            hidden_activation=m["hidden_activation"],
+            output_activation=m["output_activation"],
+            dropout_rate=m["dropout_rate"],
+        )
+        weights = [arrays[f"w{l}"] for l in range(cfg.num_layers)]
+        biases = [arrays[f"b{l}"] for l in range(cfg.num_layers)]
+        return ScoringModel(cfg, weights, biases)
 
 
 def serialize_model(model: ScoringModel) -> bytes:
@@ -164,19 +179,22 @@ def load_train_checkpoint(path: str | Path) -> tuple[ScoringModel, Optimizer, di
     if header.get("kind") != "train":
         raise FormatError(f"container holds {header.get('kind')!r}, not a training checkpoint")
     model = _model_from(header, arrays)
-    opt_h = header["optimizer"]
-    cfg = OptimizerConfig(
-        kind=opt_h["kind"],
-        lr=opt_h["lr"],
-        beta1=opt_h["beta1"],
-        beta2=opt_h["beta2"],
-        rho=opt_h["rho"],
-        eps=opt_h["eps"],
-    )
-    optimizer = make_optimizer(cfg)
-    n_params = 2 * model.config.num_layers
-    slots = {}
-    for name in opt_h["slot_names"]:
-        slots[name] = [arrays[f"opt.{name}.{i}"] for i in range(n_params)]
-    optimizer.load_state_dict({"kind": opt_h["kind"], "t": opt_h["t"], "slots": slots})
-    return model, optimizer, header["meta"]
+    with _malformed("training checkpoint header"):
+        opt_h = header["optimizer"]
+        cfg = OptimizerConfig(
+            kind=opt_h["kind"],
+            lr=opt_h["lr"],
+            beta1=opt_h["beta1"],
+            beta2=opt_h["beta2"],
+            rho=opt_h["rho"],
+            eps=opt_h["eps"],
+        )
+        optimizer = make_optimizer(cfg)
+        n_params = 2 * model.config.num_layers
+        slots = {}
+        for name in opt_h["slot_names"]:
+            slots[name] = [arrays[f"opt.{name}.{i}"] for i in range(n_params)]
+        optimizer.load_state_dict({"kind": opt_h["kind"], "t": opt_h["t"], "slots": slots})
+        meta = header["meta"]
+        meta = {**meta, **{k: int(meta[k]) for k in ("epoch", "iteration", "seed")}}
+    return model, optimizer, meta

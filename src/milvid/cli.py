@@ -21,7 +21,7 @@ from .bag_model import assemble_bag, load_dataset, pool_segments
 from .checkpoint import load_model, save_model
 from .errors import ConfigError, FormatError, MilvidError, TrainingAbort, ValidationError
 from .evaluation import evaluate_bags, roc_auc, score_bags
-from .feature_store import SynthConfig, read_features, synthesize_dataset
+from .feature_store import SynthConfig, read_features, read_manifest, synthesize_dataset
 from .optimizers import KINDS, OptimizerConfig
 from .scorer import forward_batch
 from .trainer import TrainConfig, compare_optimizers, train
@@ -210,12 +210,10 @@ def _train_config(args, optimizer_kind: str) -> TrainConfig:
 
 
 def _load_splits(manifest_path):
+    # a manifest without test entries means no validation; any other error propagates
     train_set = load_dataset(manifest_path, split="train")
-    try:
-        val_set = load_dataset(manifest_path, split="test")
-    except ValidationError:
-        val_set = None
-    return train_set, val_set
+    has_test = any(e.split == "test" for e in read_manifest(manifest_path))
+    return train_set, load_dataset(manifest_path, split="test") if has_test else None
 
 
 def _cmd_train(args) -> int:
@@ -225,7 +223,6 @@ def _cmd_train(args) -> int:
     train_set, val_set = _load_splits(manifest)
     model, log = train(train_set, cfg, val_set=val_set, resume_from=args.resume)
     save_model(model, out)
-    log.final_model_path = str(out)
     log_path = args.log or f"{out}.log.csv"
     log.to_csv(log_path)
     last_val = next((r.val_auc for r in reversed(log.rows) if r.val_auc is not None), None)

@@ -57,24 +57,29 @@ class RocCurve:
     auc: float
 
 
+def _scored_arrays(scored: list[ScoredLabel]) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and labels as float64 arrays; every score finite, every label +1 or -1."""
+    pairs = np.asarray(scored, dtype=np.float64).reshape(len(scored), 2)
+    scores, labels = pairs[:, 0], pairs[:, 1]
+    if not np.all(np.isfinite(scores)):
+        raise ValidationError("scores must be finite")
+    if not np.all(np.abs(labels) == 1):
+        raise ValidationError("labels must be +1 or -1")
+    return scores, labels
+
+
 def confusion(scored: list[ScoredLabel], threshold: float) -> ConfusionCounts:
     """Tally predictions (score > threshold means positive) against labels."""
     if len(scored) == 0:
         raise ValidationError("cannot build a confusion matrix from no scores")
-    tp = fp = tn = fn = 0
-    for s, y in scored:
-        if y not in (1, -1):
-            raise ValidationError(f"labels must be +1 or -1, got {y!r}")
-        if not np.isfinite(s):
-            raise ValidationError(f"scores must be finite, got {s!r}")
-        predicted_pos = s > threshold
-        if y == 1:
-            tp += predicted_pos
-            fn += not predicted_pos
-        else:
-            fp += predicted_pos
-            tn += not predicted_pos
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+    scores, labels = _scored_arrays(scored)
+    predicted, actual = scores > threshold, labels == 1
+    return ConfusionCounts(
+        tp=int(np.count_nonzero(predicted & actual)),
+        fp=int(np.count_nonzero(predicted & ~actual)),
+        tn=int(np.count_nonzero(~predicted & ~actual)),
+        fn=int(np.count_nonzero(~predicted & actual)),
+    )
 
 
 def rates(c: ConfusionCounts) -> RatesReport:
@@ -98,40 +103,23 @@ def roc_auc(scored: list[ScoredLabel]) -> RocCurve:
     Cumulative counts stay integers until the final divisions, keeping the
     equivalence with the pairwise statistic exact up to one rounding.
     """
-    scores = np.asarray([s for s, _ in scored], dtype=np.float64)
-    labels = np.asarray([y for _, y in scored], dtype=np.int64)
-    if scores.size and not np.all(np.isfinite(scores)):
-        raise ValidationError("scores must be finite")
-    if np.any((labels != 1) & (labels != -1)):
-        raise ValidationError("labels must be +1 or -1")
+    scores, labels = _scored_arrays(scored)
     num_pos = int(np.count_nonzero(labels == 1))
-    num_neg = int(np.count_nonzero(labels == -1))
+    num_neg = labels.size - num_pos
     if num_pos == 0 or num_neg == 0:
         raise ValidationError("ROC needs at least one positive and one negative label")
 
     order = np.argsort(-scores, kind="stable")
-    scores = scores[order]
-    labels = labels[order]
-
-    points = [(0.0, 0.0, float("inf"))]
-    cum_tp = cum_fp = 0
-    prev_tp = prev_fp = 0
-    twice_area = 0  # integer: 2 * area in count space
-    i = 0
-    n = scores.size
-    while i < n:
-        j = i
-        while j < n and scores[j] == scores[i]:
-            j += 1
-        group = labels[i:j]
-        cum_tp += int(np.count_nonzero(group == 1))
-        cum_fp += int(np.count_nonzero(group == -1))
-        twice_area += (cum_fp - prev_fp) * (cum_tp + prev_tp)
-        points.append((cum_fp / num_neg, cum_tp / num_pos, float(scores[i])))
-        prev_tp, prev_fp = cum_tp, cum_fp
-        i = j
+    scores, is_pos = scores[order], labels[order] == 1
+    starts = np.flatnonzero(np.r_[True, scores[1:] != scores[:-1]])  # one per distinct score
+    ends = np.r_[starts[1:], scores.size]
+    cum_tp = np.cumsum(is_pos)[ends - 1]
+    cum_fp = ends - cum_tp
+    # integer: 2 * area in count space, one trapezoid per distinct score
+    twice_area = int(np.sum(np.diff(cum_fp, prepend=0) * (cum_tp + np.r_[0, cum_tp[:-1]])))
+    points = zip((cum_fp / num_neg).tolist(), (cum_tp / num_pos).tolist(), scores[starts].tolist())
     auc = twice_area / (2 * num_pos * num_neg)
-    return RocCurve(points=tuple(points), auc=auc)
+    return RocCurve(points=((0.0, 0.0, float("inf")), *points), auc=auc)
 
 
 @dataclass(frozen=True)

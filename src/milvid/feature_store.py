@@ -138,6 +138,8 @@ class ManifestEntry:
     split: str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.bag_id, str) or not isinstance(self.path, str):
+            raise ValidationError(f"bag_id and path must be str: {self.bag_id!r}, {self.path!r}")
         if self.label not in (1, -1):
             raise ValidationError(f"label must be +1 or -1, got {self.label!r}")
         if self.split not in SPLITS:
@@ -155,22 +157,18 @@ def write_manifest(entries: list[ManifestEntry], path: str | Path) -> None:
 
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
                 record = json.loads(line)
-                entries.append(
-                    ManifestEntry(
-                        bag_id=record["bag_id"],
-                        label=int(record["label"]),
-                        path=record["path"],
-                        split=record["split"],
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise FormatError(f"{path}: bad manifest record at line {lineno}: {exc}") from None
+                label = int(record["label"])
+                entries.append(ManifestEntry(record["bag_id"], label, record["path"], record["split"]))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: manifest is not UTF-8 text: {exc}") from None
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise FormatError(f"{path}: bad manifest record at line {lineno}: {exc}") from None
     _check_unique_ids(entries)
     return entries
 

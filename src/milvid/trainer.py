@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bag_model import Dataset, pool_segments
-from .checkpoint import load_train_checkpoint, save_model, save_train_checkpoint
+from .checkpoint import load_train_checkpoint, save_train_checkpoint
 from .errors import ConfigError, TrainingAbort
 from .evaluation import roc_auc, score_bags
 from .objective import objective_gradient
@@ -71,7 +71,6 @@ class LogRow:
 @dataclass
 class TrainLog:
     rows: list[LogRow] = field(default_factory=list)
-    final_model_path: str | None = None
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
@@ -144,9 +143,9 @@ def train(
 
     Checkpoints (model + optimizer state + loop counters) are written under
     ``cfg.out_dir`` when set: ``ckpt-NNNN.mvck`` at the configured interval,
-    ``best.mvck`` whenever the validation AUC improves, and ``model.mvck``
-    plus ``final.mvck`` at the end. ``resume_from`` continues a run from a
-    checkpoint and reproduces the uninterrupted run bitwise.
+    ``best.mvck`` whenever the validation AUC improves, and ``final.mvck``
+    at the end (``load_model`` reads it). ``resume_from`` continues a run
+    from a checkpoint and reproduces the uninterrupted run bitwise.
     """
     pos_bags = train_set.positives()
     neg_bags = train_set.negatives()
@@ -248,9 +247,6 @@ def train(
 
     if out_dir is not None:
         save_train_checkpoint(out_dir / "final.mvck", model, optimizer, meta_dict(cfg.epochs))
-        model_path = out_dir / "model.mvck"
-        save_model(model, model_path)
-        log.final_model_path = str(model_path)
     return model, log
 
 

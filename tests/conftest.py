@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from milvid.bag_model import Bag, Instance
 from milvid.scorer import ScorerConfig, ScoringModel
@@ -72,6 +76,21 @@ def random_bags(rng, n_bags, n_instances, dim):
         label = 1 if b % 2 == 0 else -1
         bags.append(make_bag(rng.normal(size=(n_instances, dim)), label, f"bag-{b}"))
     return bags
+
+
+def mvck_frame(header: bytes, payload: bytes = b"") -> bytes:
+    """An MVCK container with a valid prefix and checksum around arbitrary header bytes."""
+    body = struct.pack("<4sII", b"MVCK", 1, len(header)) + header + payload
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+# any value json.dumps can write, for parser property tests
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=10,
+)
 
 
 @pytest.fixture

@@ -1,12 +1,15 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from milvid import cli
-from milvid.checkpoint import save_model
+from milvid.checkpoint import save_model, unpack_container
 from milvid.feature_store import FeatureMatrix, write_features
 from milvid.scorer import init_glorot_normal
+
+from conftest import mvck_frame
 
 
 def run_cli(capsys, *argv):
@@ -262,3 +265,71 @@ def test_resume_flag_continues_training(tmp_path, capsys):
     )
     assert code == 0
     assert (full / "model.mvck").read_bytes() == (part / "model.mvck").read_bytes()
+
+
+def test_train_out_is_the_only_model_file(tmp_path, capsys):
+    data = tmp_path / "data"
+    run_cli(capsys, *gen_args(data, **{"pos_test": 2, "neg_test": 2}))
+    run_dir = tmp_path / "run"
+    code, _, _ = run_cli(
+        capsys, "train", "--manifest", str(data / "manifest.jsonl"), "--epochs", "2",
+        "--batch-bags", "4", "--hidden", "4", "--out", str(run_dir / "x.mvck"),
+    )
+    assert code == 0
+    kinds = {
+        p.name: unpack_container(p.read_bytes())[0]["kind"] for p in run_dir.glob("*.mvck")
+    }
+    assert [name for name, kind in kinds.items() if kind == "model"] == ["x.mvck"]
+    assert "model.mvck" not in kinds and "final.mvck" in kinds
+
+
+def test_train_without_test_split_skips_validation(tmp_path, capsys):
+    data = tmp_path / "data"
+    run_cli(capsys, *gen_args(data))
+    code, out, _ = run_cli(
+        capsys, "train", "--manifest", str(data / "manifest.jsonl"), "--epochs", "1",
+        "--batch-bags", "4", "--hidden", "4", "--out", str(tmp_path / "m.mvck"),
+    )
+    assert code == 0
+    assert "validation AUC" not in out
+
+
+def test_nan_in_test_split_exits_one(tmp_path, capsys):
+    data = tmp_path / "data"
+    run_cli(capsys, *gen_args(data, **{"pos_test": 2, "neg_test": 2}))
+    payload = np.full((5, 6), np.nan, dtype="<f4").tobytes()
+    (data / "test-neg-0001.mil1").write_bytes(struct.pack("<4sII", b"MIL1", 6, 5) + payload)
+    code, _, err = run_cli(
+        capsys, "train", "--manifest", str(data / "manifest.jsonl"), "--epochs", "1",
+        "--batch-bags", "4", "--hidden", "4", "--out", str(tmp_path / "m.mvck"),
+    )
+    assert code == 1
+    assert "non-finite" in err and not (tmp_path / "m.mvck").exists()
+
+
+def test_corrupt_model_header_exits_two(workspace, capsys):
+    tmp_path, data, _ = workspace
+    bad = tmp_path / "bad.mvck"
+    bad.write_bytes(mvck_frame(b"{x}"))
+    for command in ("eval", "roc"):
+        code, _, err = run_cli(
+            capsys, command, "--model", str(bad), "--manifest", str(data / "manifest.jsonl")
+        )
+        assert code == 2
+        assert err.startswith("milvid: error: malformed container header")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        b'{"bag_id": "a", "label": "x", "path": "a.mil1", "split": "test"}\n',
+        b'{"bag_id": "\xff", "label": 1, "path": "a.mil1", "split": "test"}\n',
+    ],
+)
+def test_bad_manifest_exits_two(workspace, capsys, line):
+    tmp_path, _, model = workspace
+    manifest = tmp_path / "bad.jsonl"
+    manifest.write_bytes(line)
+    code, _, err = run_cli(capsys, "eval", "--model", str(model), "--manifest", str(manifest))
+    assert code == 2
+    assert err.startswith("milvid: error:") and "bad.jsonl" in err

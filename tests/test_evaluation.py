@@ -140,6 +140,50 @@ def test_auc_invariant_under_strictly_increasing_transforms(seed, scale, offset)
     )
 
 
+def loop_roc(scored):
+    """Reference sweep, one tie group at a time: (points, auc)."""
+    ranked = sorted(scored, key=lambda sy: -sy[0])  # stable, like the argsort it checks
+    num_pos = sum(y == 1 for _, y in scored)
+    num_neg = len(scored) - num_pos
+    points, cum_tp, cum_fp, twice_area, i = [(0.0, 0.0, float("inf"))], 0, 0, 0, 0
+    while i < len(ranked):
+        j = i
+        while j < len(ranked) and ranked[j][0] == ranked[i][0]:
+            j += 1
+        tp = cum_tp + sum(y == 1 for _, y in ranked[i:j])
+        fp = cum_fp + sum(y == -1 for _, y in ranked[i:j])
+        twice_area += (fp - cum_fp) * (tp + cum_tp)
+        cum_tp, cum_fp = tp, fp
+        points.append((cum_fp / num_neg, cum_tp / num_pos, ranked[i][0]))
+        i = j
+    return tuple(points), twice_area / (2 * num_pos * num_neg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scores=st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 0.5, 1e-300, 7.0]), min_size=2)
+    | st.lists(st.floats(-1e6, 1e6), min_size=2),
+    data=st.data(),
+)
+def test_roc_and_confusion_equal_the_loop_reference_bitwise(scores, data):
+    n = len(scores)
+    labels = data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    labels[0], labels[1] = 1, -1
+    scored = list(zip(scores, labels))
+    curve = roc_auc(scored)
+    points, auc = loop_roc(scored)
+    assert curve.auc == auc
+    assert [tuple(map(repr, p)) for p in curve.points] == [tuple(map(repr, p)) for p in points]
+    for threshold in (0.0, 0.5, scores[0]):
+        c = confusion(scored, threshold)
+        assert (c.tp, c.fp, c.tn, c.fn) == (
+            sum(s > threshold and y == 1 for s, y in scored),
+            sum(s > threshold and y == -1 for s, y in scored),
+            sum(s <= threshold and y == -1 for s, y in scored),
+            sum(s <= threshold and y == 1 for s, y in scored),
+        )
+
+
 def test_roc_requires_both_classes():
     with pytest.raises(ValidationError):
         roc_auc([(0.5, 1), (0.2, 1)])

@@ -1,3 +1,4 @@
+import json
 import math
 import struct
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milvid.errors import ConfigError, CorruptionError, FormatError, ValidationError
+from milvid.errors import ConfigError, CorruptionError, FormatError, MilvidError, ValidationError
 from milvid.feature_store import (
     FeatureMatrix,
     ManifestEntry,
@@ -17,6 +18,8 @@ from milvid.feature_store import (
     write_features,
     write_manifest,
 )
+
+from conftest import json_values
 
 
 def _random_matrix(rng, count, dim):
@@ -192,3 +195,72 @@ def test_split_counts_match_config(tmp_path):
 def test_bad_witness_rate_rejected(rate):
     with pytest.raises(ConfigError):
         SynthConfig(dim=4, n_pos_bags=1, n_neg_bags=1, instances_per_bag=4, witness_rate=rate)
+
+
+def test_manifest_non_integer_label_is_format_error(tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_text('{"bag_id": "a", "label": "x", "path": "a.mil1", "split": "train"}\n')
+    with pytest.raises(FormatError, match="line 1"):
+        read_manifest(path)
+
+
+def test_manifest_non_utf8_is_format_error(tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(b'{"bag_id": "\xff", "label": 1, "path": "a.mil1", "split": "train"}\n')
+    with pytest.raises(FormatError, match="UTF-8"):
+        read_manifest(path)
+
+
+def test_manifest_non_string_bag_id_rejected(tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_text('{"bag_id": ["a"], "label": 1, "path": "a.mil1", "split": "train"}\n')
+    with pytest.raises(ValidationError, match="bag_id"):
+        read_manifest(path)
+
+
+_manifest_records = st.dictionaries(
+    st.sampled_from(["bag_id", "label", "path", "split"]), json_values
+) | st.fixed_dictionaries(
+    {"bag_id": json_values, "label": json_values, "path": json_values, "split": json_values}
+)
+
+
+# CSV values beyond the float32 range overflow to inf (with numpy's warning) and are rejected
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.one_of(
+        st.binary(max_size=200),
+        st.binary(max_size=200).map(lambda b: b"MIL1" + b),
+        st.text(alphabet="0123456789.,-+eE \n\tinfa", max_size=80).map(str.encode),
+    )
+)
+def test_read_features_arbitrary_bytes_returns_matrix_or_milvid_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "f.bin"
+    path.write_bytes(data)
+    try:
+        m = read_features(path)
+    except MilvidError:
+        return
+    assert isinstance(m, FeatureMatrix) and m.values.dtype == np.float32
+    assert np.all(np.isfinite(m.values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.one_of(
+        st.binary(max_size=200),
+        st.lists(_manifest_records, max_size=3).map(
+            lambda recs: "".join(json.dumps(r) + "\n" for r in recs).encode()
+        ),
+    )
+)
+def test_read_manifest_arbitrary_bytes_returns_entries_or_milvid_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "m.jsonl"
+    path.write_bytes(data)
+    try:
+        entries = read_manifest(path)
+    except MilvidError:
+        return
+    assert all(isinstance(e, ManifestEntry) for e in entries)
+    assert len({e.bag_id for e in entries}) == len(entries)

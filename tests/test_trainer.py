@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from milvid.bag_model import load_dataset
+from milvid.checkpoint import serialize_model
 from milvid.errors import ConfigError, TrainingAbort
 from milvid.evaluation import evaluate_bags
 from milvid.feature_store import SynthConfig, synthesize_dataset
@@ -66,7 +67,7 @@ def test_identical_runs_are_bitwise_identical(tmp_path):
     train(train_set, tiny_config(epochs=4, checkpoint_interval=2, out_dir=out_a), val_set=val_set)
     train(train_set, tiny_config(epochs=4, checkpoint_interval=2, out_dir=out_b), val_set=val_set)
     names = sorted(p.name for p in out_a.iterdir())
-    assert "model.mvck" in names and "ckpt-0002.mvck" in names and "best.mvck" in names
+    assert "final.mvck" in names and "ckpt-0002.mvck" in names and "best.mvck" in names
     for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
@@ -76,15 +77,15 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     full = tmp_path / "full"
     half = tmp_path / "half"
     resumed = tmp_path / "resumed"
-    train(train_set, tiny_config(epochs=6, out_dir=full), val_set=val_set)
+    model_full, _ = train(train_set, tiny_config(epochs=6, out_dir=full), val_set=val_set)
     train(train_set, tiny_config(epochs=3, checkpoint_interval=3, out_dir=half), val_set=val_set)
-    train(
+    model_resumed, _ = train(
         train_set,
         tiny_config(epochs=6, out_dir=resumed),
         val_set=val_set,
         resume_from=half / "ckpt-0003.mvck",
     )
-    assert (full / "model.mvck").read_bytes() == (resumed / "model.mvck").read_bytes()
+    assert serialize_model(model_full) == serialize_model(model_resumed)
     assert (full / "final.mvck").read_bytes() == (resumed / "final.mvck").read_bytes()
 
 
