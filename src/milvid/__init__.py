@@ -52,7 +52,7 @@ from .feature_store import (
     write_features,
     write_manifest,
 )
-from .objective import BagLoss, bag_score, objective, objective_gradient
+from .objective import BagLoss, bag_maxima, bag_score, objective, objective_gradient
 from .optimizers import OptimizerConfig, make_optimizer
 from .scorer import (
     ForwardTrace,
@@ -98,6 +98,7 @@ __all__ = [
     "ValidationError",
     "assemble_bag",
     "backward",
+    "bag_maxima",
     "bag_score",
     "compare_optimizers",
     "confusion",

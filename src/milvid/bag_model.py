@@ -50,7 +50,7 @@ class Bag:
         """All instance features stacked row-wise, float64, temporal order."""
         if not self._matrix_cache:
             self._matrix_cache.append(
-                np.stack([inst.features for inst in self.instances]).astype(np.float64)
+                np.stack([inst.features for inst in self.instances], dtype=np.float64)
             )
         return self._matrix_cache[0]
 

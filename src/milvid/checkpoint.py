@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -138,8 +139,27 @@ def deserialize_model(data: bytes) -> ScoringModel:
     return _model_from(header, arrays)
 
 
+def _write_atomic(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` whole or not at all.
+
+    The bytes go to a temp file in the same directory, are fsynced, and then
+    replace ``path``; a kill or error at any point leaves the old file intact.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_model(model: ScoringModel, path: str | Path) -> None:
-    Path(path).write_bytes(serialize_model(model))
+    _write_atomic(path, serialize_model(model))
 
 
 def load_model(path: str | Path) -> ScoringModel:
@@ -171,7 +191,7 @@ def save_train_checkpoint(
     for name in sorted(state["slots"]):
         for i, arr in enumerate(state["slots"][name]):
             arrays.append((f"opt.{name}.{i}", arr))
-    Path(path).write_bytes(pack_container(header, arrays))
+    _write_atomic(path, pack_container(header, arrays))
 
 
 def load_train_checkpoint(path: str | Path) -> tuple[ScoringModel, Optimizer, dict]:
@@ -190,10 +210,16 @@ def load_train_checkpoint(path: str | Path) -> tuple[ScoringModel, Optimizer, di
             eps=opt_h["eps"],
         )
         optimizer = make_optimizer(cfg)
-        n_params = 2 * model.config.num_layers
+        params = model.param_list()
         slots = {}
         for name in opt_h["slot_names"]:
-            slots[name] = [arrays[f"opt.{name}.{i}"] for i in range(n_params)]
+            slots[name] = [arrays[f"opt.{name}.{i}"] for i in range(len(params))]
+            for i, (slot, p) in enumerate(zip(slots[name], params)):
+                if slot.shape != p.shape:
+                    raise FormatError(
+                        f"optimizer slot opt.{name}.{i} has shape {slot.shape}, "
+                        f"parameter {i} has {p.shape}"
+                    )
         optimizer.load_state_dict({"kind": opt_h["kind"], "t": opt_h["t"], "slots": slots})
         meta = header["meta"]
         meta = {**meta, **{k: int(meta[k]) for k in ("epoch", "iteration", "seed")}}

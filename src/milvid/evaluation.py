@@ -14,10 +14,11 @@ import numpy as np
 
 from .bag_model import Bag
 from .errors import ValidationError
-from .objective import bag_score
+from .objective import bag_maxima
 from .scorer import ScoringModel
 
 ScoredLabel = tuple[float, int]
+_SCORE_SLICE = 16  # bags per forward pass in score_bags; keeps the stacked copy small
 
 
 @dataclass(frozen=True)
@@ -155,7 +156,8 @@ class EvalReport:
 
 def score_bags(model: ScoringModel, bags: list[Bag]) -> list[ScoredLabel]:
     """Eval-mode bag scores (max over instances) with their true labels."""
-    return [(bag_score(model, bag)[0], bag.label) for bag in bags]
+    chunks = [bags[i : i + _SCORE_SLICE] for i in range(0, len(bags), _SCORE_SLICE)]
+    return [(s, b.label) for c in chunks for s, b in zip(bag_maxima(model, c)[0].tolist(), c)]
 
 
 def evaluate_bags(model: ScoringModel, bags: list[Bag], threshold: float | None = None) -> EvalReport:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bag_model import Bag
 from .errors import ConfigError, ValidationError
-from .scorer import Gradients, ScoringModel, backward, forward_batch
+from .scorer import ForwardTrace, Gradients, ScoringModel, backward, forward_batch
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,45 @@ def bag_score(
     return float(scores[idx]), idx
 
 
-def _bag_loss(model, bag, train, rng):
-    scores, trace = forward_batch(model, bag.feature_matrix(), train=train, rng=rng)
-    idx = int(np.argmax(scores))
-    s = float(scores[idx])
-    margin = bag.label * s
-    hinge = max(0.0, 1.0 - margin)
-    return BagLoss(bag.bag_id, s, idx, margin, hinge), trace
+def bag_maxima(
+    model: ScoringModel,
+    bags: list[Bag],
+    train: bool = False,
+    rng: np.random.Generator | None = None,
+) -> tuple[np.ndarray, np.ndarray, ForwardTrace]:
+    """Each bag's highest instance score, the stacked row attaining it, and the trace.
+
+    The bags' rows are stacked in order and scored by one forward pass, so a
+    train-mode pass draws the same dropout masks as one pass per bag. The
+    argmax is ``np.argmax`` per bag: the first maximum wins, and so does a NaN.
+    """
+    x = np.concatenate([bag.feature_matrix() for bag in bags])
+    scores, trace = forward_batch(model, x, train=train, rng=rng)
+    starts = _starts(bags)
+    rows = starts + [int(np.argmax(s)) for s in np.split(scores, starts[1:])]
+    return scores[rows], rows, trace
+
+
+def _starts(bags) -> np.ndarray:
+    return np.cumsum([0] + [len(bag) for bag in bags[:-1]])
+
+
+def _hinges(model, bags, lam, train, rng):
+    # value, per-bag detail, and each bag's upstream on its argmax row (0 when inactive)
+    if lam < 0:
+        raise ConfigError(f"regularization strength must be >= 0, got {lam}")
+    if not bags:
+        raise ValidationError("objective needs at least one bag")
+    scores, rows, trace = bag_maxima(model, bags, train, rng)
+    labels = np.array([bag.label for bag in bags], dtype=np.float64)
+    margins = labels * scores
+    hinges = np.where(1.0 - margins > 0.0, 1.0 - margins, 0.0)  # a NaN margin gives 0
+    index = rows - _starts(bags)
+    details = zip(scores.tolist(), index.tolist(), margins.tolist(), hinges.tolist())
+    losses = [BagLoss(bag.bag_id, *d) for bag, d in zip(bags, details)]
+    value = sum(hinges.tolist()) / len(bags) + lam * 0.5 * model.weight_sq_norm()
+    upstream = np.where(hinges > 0.0, -labels / len(bags), 0.0)
+    return value, losses, upstream, rows, trace
 
 
 def objective(
@@ -59,10 +91,7 @@ def objective(
     rng: np.random.Generator | None = None,
 ) -> tuple[float, list[BagLoss]]:
     """Mean bag hinge plus ``lam * 0.5 * ||W||^2``; also per-bag detail."""
-    _check_args(bags, lam)
-    losses = [_bag_loss(model, bag, train, rng)[0] for bag in bags]
-    value = sum(l.hinge for l in losses) / len(bags) + lam * 0.5 * model.weight_sq_norm()
-    return value, losses
+    return _hinges(model, bags, lam, train, rng)[:2]
 
 
 def objective_gradient(
@@ -74,30 +103,13 @@ def objective_gradient(
 ) -> tuple[float, list[BagLoss], Gradients]:
     """Objective value, per-bag detail, and its exact (sub)gradient.
 
-    For every bag with a violated margin, ``-Y / z`` is backpropagated
-    through the argmax instance's forward trace; the L2 term adds
-    ``lam * W`` to each weight gradient. Bags are processed in their given
-    order so accumulation is deterministic.
+    One backward pass runs over the argmax rows of the bags with a violated
+    margin, each with upstream ``-Y / z``; the L2 term adds ``lam * W`` to
+    each weight gradient.
     """
-    _check_args(bags, lam)
-    z = len(bags)
-    losses: list[BagLoss] = []
-    grads = Gradients.zeros_like(model)
-    total_hinge = 0.0
-    for bag in bags:
-        loss, trace = _bag_loss(model, bag, train, rng)
-        losses.append(loss)
-        total_hinge += loss.hinge
-        if loss.hinge > 0.0:
-            grads.add(backward(model, trace.select(loss.argmax_index), -bag.label / z))
+    value, losses, upstream, rows, trace = _hinges(model, bags, lam, train, rng)
+    active = np.flatnonzero(upstream)
+    grads = backward(model, trace.select(rows[active]), upstream[active])
     for gw, w in zip(grads.weights, model.weights):
         gw += lam * w
-    value = total_hinge / z + lam * 0.5 * model.weight_sq_norm()
     return value, losses, grads
-
-
-def _check_args(bags, lam) -> None:
-    if lam < 0:
-        raise ConfigError(f"regularization strength must be >= 0, got {lam}")
-    if not bags:
-        raise ValidationError("objective needs at least one bag")

@@ -11,7 +11,7 @@ differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,19 +183,13 @@ class ForwardTrace:
     layer_inputs: list[np.ndarray]  # input to each layer, post-dropout where applied
     pre_activations: list[np.ndarray]
     dropout_mask: np.ndarray | None  # scaled mask (0 or 1/(1-rate)) or None
-    train: bool
-    num_rows: int = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.num_rows = self.layer_inputs[0].shape[0]
-
-    def select(self, row: int) -> "ForwardTrace":
-        """Single-row view, for backpropagating through one instance."""
+    def select(self, rows: np.ndarray) -> "ForwardTrace":
+        """The trace of the given rows (an index array), for backpropagating through them."""
         return ForwardTrace(
-            layer_inputs=[a[row : row + 1] for a in self.layer_inputs],
-            pre_activations=[z[row : row + 1] for z in self.pre_activations],
-            dropout_mask=None if self.dropout_mask is None else self.dropout_mask[row : row + 1],
-            train=self.train,
+            layer_inputs=[a[rows] for a in self.layer_inputs],
+            pre_activations=[z[rows] for z in self.pre_activations],
+            dropout_mask=None if self.dropout_mask is None else self.dropout_mask[rows],
         )
 
 
@@ -238,11 +232,7 @@ def forward_batch(
                 act = act * mask
             layer_inputs.append(act)
 
-    scores = act[:, 0]
-    trace = ForwardTrace(
-        layer_inputs=layer_inputs, pre_activations=pre_activations, dropout_mask=mask, train=train
-    )
-    return scores, trace
+    return act[:, 0], ForwardTrace(layer_inputs, pre_activations, mask)
 
 
 def score(
@@ -305,7 +295,7 @@ def backward(model: ScoringModel, trace: ForwardTrace, upstream) -> Gradients:
     _, hidden_g = ACTIVATIONS[cfg.hidden_activation]
     _, out_g = ACTIVATIONS[cfg.output_activation]
 
-    n = trace.num_rows
+    n = trace.layer_inputs[0].shape[0]
     up = np.asarray(upstream, dtype=np.float64)
     if up.ndim == 0:
         up = np.full(n, float(up))

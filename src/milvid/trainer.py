@@ -128,10 +128,6 @@ def build_model(input_dim: int, cfg: TrainConfig) -> ScoringModel:
     )
 
 
-def _validation_auc(model: ScoringModel, bags) -> float:
-    return roc_auc(score_bags(model, bags)).auc
-
-
 def train(
     train_set: Dataset,
     cfg: TrainConfig,
@@ -229,7 +225,7 @@ def train(
             )
 
         if val_bags and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
-            val_auc = _validation_auc(model, val_bags)
+            val_auc = roc_auc(score_bags(model, val_bags)).auc
             log.rows[-1].val_auc = val_auc
             if best_val_auc is None or val_auc > best_val_auc:
                 best_val_auc = val_auc
@@ -275,5 +271,5 @@ def compare_optimizers(
         opt_cfg = replace(base_cfg.optimizer, kind=kind)
         run_cfg = replace(base_cfg, optimizer=opt_cfg, out_dir=None)
         model, _ = train(train_set, run_cfg, val_set=None, init_model=init)
-        rows.append((kind, _validation_auc(model, val_bags)))
+        rows.append((kind, roc_auc(score_bags(model, val_bags)).auc))
     return rows

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from milvid import checkpoint
 from milvid.checkpoint import (
     deserialize_model,
     load_train_checkpoint,
     pack_container,
+    save_model,
     save_train_checkpoint,
     serialize_model,
     unpack_container,
@@ -121,6 +123,37 @@ def test_train_header_missing_key_is_format_error(train_checkpoint, path):
     train_checkpoint.write_bytes(repack(train_checkpoint.read_bytes(), _drop(*path)))
     with pytest.raises(FormatError, match="header"):
         load_train_checkpoint(train_checkpoint)
+
+
+def test_wrong_shape_optimizer_slot_is_format_error(train_checkpoint):
+    header, arrays = unpack_container(train_checkpoint.read_bytes())
+    arrays["opt.m.0"] = np.zeros((3, 3))  # parameter 0 (W0) is (3, 4)
+    train_checkpoint.write_bytes(pack_container(header, list(arrays.items())))
+    with pytest.raises(FormatError, match=r"opt\.m\.0 has shape \(3, 3\)"):
+        load_train_checkpoint(train_checkpoint)
+
+
+@pytest.mark.parametrize("failing", ["fsync", "replace"])
+@pytest.mark.parametrize("writer", ["model", "train"])
+def test_failed_write_keeps_the_old_file_and_no_temp(tmp_path, monkeypatch, failing, writer):
+    model = init_glorot_normal((4, 3, 1), seed=0)
+    optimizer = make_optimizer(OptimizerConfig(kind="adam"))
+    target = tmp_path / "best.mvck"
+    save_train_checkpoint(target, model, optimizer, {"epoch": 1, "iteration": 2, "seed": 3})
+    before = target.read_bytes()
+
+    def fail(*args):
+        raise OSError(f"{failing} failed")
+
+    monkeypatch.setattr(checkpoint.os, failing, fail)
+    model.weights[0] += 1.0
+    with pytest.raises(OSError, match="failed"):
+        if writer == "model":
+            save_model(model, target)
+        else:
+            save_train_checkpoint(target, model, optimizer, {"epoch": 2, "iteration": 4, "seed": 3})
+    assert target.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [target]
 
 
 headers = st.one_of(

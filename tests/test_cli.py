@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from milvid import cli
-from milvid.checkpoint import save_model, unpack_container
+from milvid.checkpoint import pack_container, save_model, unpack_container
 from milvid.feature_store import FeatureMatrix, write_features
 from milvid.scorer import init_glorot_normal
 
@@ -265,6 +265,25 @@ def test_resume_flag_continues_training(tmp_path, capsys):
     )
     assert code == 0
     assert (full / "model.mvck").read_bytes() == (part / "model.mvck").read_bytes()
+
+
+def test_resume_with_wrong_shape_optimizer_slot_exits_two(tmp_path, capsys):
+    data = tmp_path / "data"
+    run_cli(capsys, *gen_args(data))
+    kwargs = [
+        "--manifest", str(data / "manifest.jsonl"), "--optimizer", "adam",
+        "--batch-bags", "4", "--hidden", "8,4", "--out", str(tmp_path / "model.mvck"),
+    ]
+    code, _, _ = run_cli(capsys, "train", *kwargs, "--epochs", "1")
+    assert code == 0
+    final = tmp_path / "final.mvck"
+    header, arrays = unpack_container(final.read_bytes())
+    arrays["opt.m.0"] = np.zeros((3, 3))
+    final.write_bytes(pack_container(header, list(arrays.items())))
+    code, _, err = run_cli(capsys, "train", *kwargs, "--epochs", "2", "--resume", str(final))
+    assert code == 2
+    assert err.startswith("milvid: error: optimizer slot opt.m.0 has shape (3, 3)")
+    assert "Traceback" not in err
 
 
 def test_train_out_is_the_only_model_file(tmp_path, capsys):

@@ -10,7 +10,10 @@ from milvid.evaluation import (
     evaluate_bags,
     rates,
     roc_auc,
+    score_bags,
 )
+from milvid.objective import bag_score
+from milvid.scorer import init_glorot_normal
 
 from conftest import make_bag, value_scorer
 
@@ -232,3 +235,14 @@ def test_eval_report_none_rates_serialize_as_null():
     report = evaluate_bags(model, bags, threshold=0.5)
     text = json.dumps(report.to_json_dict())
     assert "NaN" not in text
+
+
+def test_score_bags_across_slices_equals_per_bag_scores(rng):
+    model = init_glorot_normal((6, 5, 3, 1), seed=2)
+    bags = [make_bag(rng.normal(size=(1 + i % 5, 6)), 1 if i % 3 else -1, f"b{i}")
+            for i in range(37)]  # three slices of bags, the last one partial
+    scored = score_bags(model, bags)
+    assert [y for _, y in scored] == [bag.label for bag in bags]
+    reference = [bag_score(model, bag)[0] for bag in bags]
+    assert np.max(np.abs(np.array([s for s, _ in scored]) - reference)) <= 1e-15
+    assert score_bags(model, []) == []

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from milvid.errors import ConfigError, ValidationError
-from milvid.objective import bag_score, objective, objective_gradient
-from milvid.scorer import init_glorot_normal
+from milvid.objective import BagLoss, bag_maxima, bag_score, objective, objective_gradient
+from milvid.scorer import Gradients, backward, forward_batch, init_glorot_normal
 
 from conftest import chain_model, make_bag, max_rel_err, numerical_gradient, random_bags, value_scorer
 
@@ -131,3 +131,71 @@ def test_argmax_unchanged_by_monotone_output(rng):
     for _ in range(20):
         bag = make_bag(rng.normal(size=(7, 6)), 1)
         assert bag_score(linear, bag)[1] == bag_score(squashed, bag)[1]
+
+
+def loop_objective_gradient(model, bags, lam, train=False, rng=None):
+    """Reference: one forward and one backward pass per bag, gradients summed in bag order."""
+    z = len(bags)
+    losses, masks, total_hinge = [], [], 0.0
+    grads = Gradients.zeros_like(model)
+    for bag in bags:
+        scores, trace = forward_batch(model, bag.feature_matrix(), train=train, rng=rng)
+        masks.append(trace.dropout_mask)
+        idx = int(np.argmax(scores))
+        s = float(scores[idx])
+        margin = bag.label * s
+        hinge = max(0.0, 1.0 - margin)
+        losses.append(BagLoss(bag.bag_id, s, idx, margin, hinge))
+        total_hinge += hinge
+        if hinge > 0.0:
+            grads.add(backward(model, trace.select(np.array([idx])), -bag.label / z))
+    for gw, w in zip(grads.weights, model.weights):
+        gw += lam * w
+    value = total_hinge / z + lam * 0.5 * model.weight_sq_norm()
+    return value, losses, grads, masks
+
+
+@pytest.mark.parametrize("train", [False, True])
+def test_batched_objective_equals_the_per_bag_loop(rng, train):
+    model = init_glorot_normal((8, 6, 4, 1), seed=4, output_activation="identity")
+    lengths = [3, 1, 5, 2, 4, 1, 6, 2]
+    bags = [make_bag(3.0 * rng.normal(size=(n, 8)), 1 if i % 2 else -1, f"b{i}")
+            for i, n in enumerate(lengths)]
+    lam = 0.01
+    ref_value, ref_losses, ref_grads, ref_masks = loop_objective_gradient(
+        model, bags, lam, train=train, rng=np.random.default_rng(7) if train else None)
+    value, losses, grads = objective_gradient(
+        model, bags, lam, train=train, rng=np.random.default_rng(7) if train else None)
+
+    assert {l.hinge > 0.0 for l in ref_losses} == {True, False}  # active and inactive bags
+    # a one-row matmul rounds differently from a stacked one, so scores agree to rounding
+    assert [(l.bag_id, l.argmax_index) for l in losses] == [
+        (l.bag_id, l.argmax_index) for l in ref_losses]
+    for field in ("bag_score", "margin", "hinge"):
+        got = np.array([getattr(l, field) for l in losses])
+        assert np.max(np.abs(got - [getattr(l, field) for l in ref_losses])) <= 1e-15
+    assert abs(value - ref_value) <= 1e-15
+    for a, b in zip(grads.param_list(), ref_grads.param_list()):
+        assert np.max(np.abs(a - b)) <= 1e-15
+    _, _, trace = bag_maxima(model, bags, train=train, rng=np.random.default_rng(7))
+    if train:
+        assert np.array_equal(trace.dropout_mask, np.vstack(ref_masks))
+    else:
+        assert trace.dropout_mask is None and ref_masks == [None] * len(bags)
+
+
+def test_bag_maxima_breaks_ties_within_each_bag():
+    bags = [make_bag([0.7, 0.7], 1), make_bag([0.7], -1), make_bag([0.2, 0.9], 1)]
+    scores, rows, trace = bag_maxima(value_scorer(), bags)
+    assert scores.tolist() == [0.7, 0.7, 0.9]
+    assert (rows - [0, 2, 3]).tolist() == [0, 0, 1]
+    assert trace.layer_inputs[0].shape == (5, 1)
+    assert [l.argmax_index for l in objective(value_scorer(), bags, lam=0.0)[1]] == [0, 0, 1]
+
+
+def test_bag_maxima_takes_a_nan_like_argmax():
+    bags = [make_bag([0.5], 1), make_bag([0.1, np.nan, 0.9], -1)]
+    scores, rows, _ = bag_maxima(value_scorer(), bags)
+    assert rows.tolist() == [0, 2] and np.isnan(scores[1])
+    _, losses = objective(value_scorer(), bags, lam=0.0)
+    assert losses[1].argmax_index == 1 and losses[1].hinge == 0.0
