@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorruptionError, FormatError
-from .optimizers import Optimizer, OptimizerConfig, make_optimizer
+from .optimizers import BETA1, BETA2, EPS, RHO, Optimizer, OptimizerConfig, make_optimizer
 from .scorer import ScorerConfig, ScoringModel
 
 MAGIC = b"MVCK"
@@ -166,11 +166,23 @@ def load_model(path: str | Path) -> ScoringModel:
     return deserialize_model(Path(path).read_bytes())
 
 
+# update-rule constants a checkpoint records; a different value is another run
+_OPTIMIZER_CONSTANTS = {"beta1": BETA1, "beta2": BETA2, "rho": RHO, "eps": EPS}
+
+
 def save_train_checkpoint(
     path: str | Path, model: ScoringModel, optimizer: Optimizer, meta: dict
 ) -> None:
-    """Model plus optimizer accumulators plus loop metadata, one container."""
-    state = optimizer.state_dict()
+    """Model plus optimizer accumulators plus loop metadata, one container.
+
+    Every accumulator of the optimizer's kind is written. Before the first
+    step, when none exists yet, they are written as zeros: the state that
+    the first step creates.
+    """
+    params = model.param_list()
+    slots = optimizer.slots or {
+        name: [np.zeros_like(p) for p in params] for name in optimizer.slot_names
+    }
     header = {
         "kind": "train",
         "schema_version": 1,
@@ -178,49 +190,54 @@ def save_train_checkpoint(
         "optimizer": {
             "kind": optimizer.cfg.kind,
             "lr": optimizer.cfg.effective_lr,
-            "beta1": optimizer.cfg.beta1,
-            "beta2": optimizer.cfg.beta2,
-            "rho": optimizer.cfg.rho,
-            "eps": optimizer.cfg.eps,
-            "t": state["t"],
-            "slot_names": sorted(state["slots"]),
+            **_OPTIMIZER_CONSTANTS,
+            "t": optimizer.t,
+            "slot_names": sorted(slots),
         },
         "meta": meta,
     }
     arrays = _model_arrays(model)
-    for name in sorted(state["slots"]):
-        for i, arr in enumerate(state["slots"][name]):
+    for name in sorted(slots):
+        for i, arr in enumerate(slots[name]):
             arrays.append((f"opt.{name}.{i}", arr))
     _write_atomic(path, pack_container(header, arrays))
 
 
 def load_train_checkpoint(path: str | Path) -> tuple[ScoringModel, Optimizer, dict]:
+    """Read what ``save_train_checkpoint`` wrote; any other header is a FormatError."""
     header, arrays = unpack_container(Path(path).read_bytes())
     if header.get("kind") != "train":
         raise FormatError(f"container holds {header.get('kind')!r}, not a training checkpoint")
     model = _model_from(header, arrays)
     with _malformed("training checkpoint header"):
         opt_h = header["optimizer"]
-        cfg = OptimizerConfig(
-            kind=opt_h["kind"],
-            lr=opt_h["lr"],
-            beta1=opt_h["beta1"],
-            beta2=opt_h["beta2"],
-            rho=opt_h["rho"],
-            eps=opt_h["eps"],
-        )
-        optimizer = make_optimizer(cfg)
+        optimizer = make_optimizer(OptimizerConfig(kind=opt_h["kind"], lr=opt_h["lr"]))
+        for key, value in _OPTIMIZER_CONSTANTS.items():
+            if opt_h[key] != value:
+                raise FormatError(f"optimizer {key} is {opt_h[key]!r}, this version uses {value!r}")
+        if opt_h["slot_names"] != sorted(optimizer.slot_names):
+            raise FormatError(
+                f"optimizer slot_names {opt_h['slot_names']!r} != "
+                f"{sorted(optimizer.slot_names)!r} for {optimizer.cfg.kind!r}"
+            )
         params = model.param_list()
-        slots = {}
-        for name in opt_h["slot_names"]:
-            slots[name] = [arrays[f"opt.{name}.{i}"] for i in range(len(params))]
-            for i, (slot, p) in enumerate(zip(slots[name], params)):
+        for name in optimizer.slot_names:
+            optimizer.slots[name] = [arrays[f"opt.{name}.{i}"] for i in range(len(params))]
+            for i, (slot, p) in enumerate(zip(optimizer.slots[name], params)):
                 if slot.shape != p.shape:
                     raise FormatError(
                         f"optimizer slot opt.{name}.{i} has shape {slot.shape}, "
                         f"parameter {i} has {p.shape}"
                     )
-        optimizer.load_state_dict({"kind": opt_h["kind"], "t": opt_h["t"], "slots": slots})
         meta = header["meta"]
-        meta = {**meta, **{k: int(meta[k]) for k in ("epoch", "iteration", "seed")}}
+        counters = {k: meta[k] for k in ("epoch", "iteration", "seed")}
+        for name, value in {"optimizer t": opt_h["t"], **counters}.items():
+            if type(value) is not int or value < 0:
+                raise FormatError(f"{name} must be a non-negative integer, got {value!r}")
+        optimizer.t = opt_h["t"]
+        best_val_auc, best_epoch = meta.get("best_val_auc"), meta.get("best_epoch")
+        if best_val_auc is not None and type(best_val_auc) not in (int, float):
+            raise FormatError(f"best_val_auc must be a number or null, got {best_val_auc!r}")
+        if best_epoch is not None and type(best_epoch) is not int:
+            raise FormatError(f"best_epoch must be an integer or null, got {best_epoch!r}")
     return model, optimizer, meta

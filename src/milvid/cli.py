@@ -67,11 +67,12 @@ def _load_config(path: str | None) -> dict:
 
 def _apply_config(subparsers: dict, values: dict) -> None:
     # per-subcommand defaults; explicitly passed flags still take precedence
-    for sp in subparsers.values():
-        known = {a.dest for a in sp._actions}
-        relevant = {
-            k: v for k, v in values.items() if k in known and k not in ("help", "config")
-        }
+    dests = {sp: {a.dest for a in sp._actions} - {"help", "config"} for sp in subparsers.values()}
+    unknown = sorted(set(values).difference(*dests.values()))
+    if unknown:
+        raise ConfigError(f"config file keys accepted by no subcommand: {', '.join(unknown)}")
+    for sp, known in dests.items():
+        relevant = {k: v for k, v in values.items() if k in known}
         if relevant:
             sp.set_defaults(**relevant)
 
@@ -91,8 +92,8 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hidden", default="512,32", help="hidden layer widths, comma-separated")
     p.add_argument("--activation", choices=["sigmoid", "tanh"], default="sigmoid",
                    help="output activation")
-    p.add_argument("--dropout-rate", type=float, default=0.6)
-    p.add_argument("--no-dropout", action="store_true", help="disable dropout during training")
+    p.add_argument("--dropout-rate", type=float, default=0.6,
+                   help="dropout after the first hidden layer (0 = none)")
     p.add_argument("--checkpoint-interval", type=int, default=0,
                    help="epochs between checkpoints (0 = final only)")
     p.add_argument("--eval-every", type=int, default=1,
@@ -199,7 +200,6 @@ def _train_config(args, optimizer_kind: str) -> TrainConfig:
         lam=args.lam,
         optimizer=OptimizerConfig(kind=optimizer_kind, lr=args.lr),
         seed=args.seed,
-        dropout=not args.no_dropout,
         segments=args.segments,
         checkpoint_interval=args.checkpoint_interval,
         eval_every=args.eval_every,

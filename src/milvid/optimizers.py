@@ -19,27 +19,22 @@ KINDS = ("sgd", "adam", "adagrad", "rmsprop")
 
 DEFAULT_LR = {"sgd": 0.01, "adagrad": 0.01, "adam": 0.001, "rmsprop": 0.001}
 
+BETA1 = 0.9  # Adam first-moment decay
+BETA2 = 0.999  # Adam second-moment decay
+RHO = 0.9  # RMSprop squared-gradient decay
+EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     kind: str = "sgd"
     lr: float | None = None  # None picks the kind's default
-    beta1: float = 0.9
-    beta2: float = 0.999
-    rho: float = 0.9
-    eps: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown optimizer kind {self.kind!r}, expected one of {KINDS}")
         if self.lr is not None and self.lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {self.lr}")
-        for name in ("beta1", "beta2", "rho"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {v}")
-        if self.eps <= 0:
-            raise ConfigError(f"eps must be positive, got {self.eps}")
 
     @property
     def effective_lr(self) -> float:
@@ -83,31 +78,6 @@ class Optimizer:
     def _update(self, params, grads) -> None:
         raise NotImplementedError
 
-    def reset(self) -> None:
-        """Back to a fresh state: t = 0, all accumulators zero. Idempotent."""
-        self.t = 0
-        for arrs in self.slots.values():
-            for a in arrs:
-                a[...] = 0.0
-
-    def state_dict(self) -> dict:
-        return {
-            "kind": self.cfg.kind,
-            "t": self.t,
-            "slots": {name: [a.copy() for a in arrs] for name, arrs in self.slots.items()},
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        if state["kind"] != self.cfg.kind:
-            raise ConfigError(
-                f"checkpoint optimizer kind {state['kind']!r} != configured {self.cfg.kind!r}"
-            )
-        self.t = int(state["t"])
-        self.slots = {
-            name: [np.array(a, dtype=np.float64) for a in arrs]
-            for name, arrs in state["slots"].items()
-        }
-
 
 class SGD(Optimizer):
     def _update(self, params, grads):
@@ -121,33 +91,31 @@ class Adagrad(Optimizer):
     def _update(self, params, grads):
         for p, g, G in zip(params, grads, self.slots["sq_sum"]):
             G += g * g
-            p -= self.lr * g / (np.sqrt(G) + self.cfg.eps)
+            p -= self.lr * g / (np.sqrt(G) + EPS)
 
 
 class RMSprop(Optimizer):
     slot_names = ("sq_avg",)
 
     def _update(self, params, grads):
-        rho = self.cfg.rho
         for p, g, v in zip(params, grads, self.slots["sq_avg"]):
-            v *= rho
-            v += (1.0 - rho) * g * g
-            p -= self.lr * g / (np.sqrt(v) + self.cfg.eps)
+            v *= RHO
+            v += (1.0 - RHO) * g * g
+            p -= self.lr * g / (np.sqrt(v) + EPS)
 
 
 class Adam(Optimizer):
     slot_names = ("m", "v")
 
     def _update(self, params, grads):
-        b1, b2 = self.cfg.beta1, self.cfg.beta2
-        bc1 = 1.0 - b1**self.t
-        bc2 = 1.0 - b2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         for p, g, m, v in zip(params, grads, self.slots["m"], self.slots["v"]):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.cfg.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 _CLASSES = {"sgd": SGD, "adagrad": Adagrad, "rmsprop": RMSprop, "adam": Adam}

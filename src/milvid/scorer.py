@@ -140,11 +140,6 @@ class ScoringModel:
         """Sum of squared weight entries, biases excluded."""
         return float(sum(np.sum(w * w) for w in self.weights))
 
-    def copy(self) -> "ScoringModel":
-        return ScoringModel(
-            self.config, [w.copy() for w in self.weights], [b.copy() for b in self.biases]
-        )
-
     @property
     def default_threshold(self) -> float:
         return 0.0 if self.config.output_activation == "tanh" else 0.5

@@ -23,11 +23,15 @@ from .checkpoint import load_train_checkpoint, save_train_checkpoint
 from .errors import ConfigError, TrainingAbort
 from .evaluation import roc_auc, score_bags
 from .objective import objective_gradient
-from .optimizers import OptimizerConfig, make_optimizer
+from .optimizers import Optimizer, OptimizerConfig, make_optimizer
 from .scorer import ScoringModel, init_glorot_normal
 
 _STREAM_SHUFFLE = 1
 _STREAM_DROPOUT = 2
+
+# the TrainConfig fields a checkpoint's meta records; with the model and
+# optimizer headers they define the run that a resume must continue
+_META_SETTINGS = ("seed", "lam", "bags_per_batch", "segments")
 
 
 @dataclass(frozen=True)
@@ -37,7 +41,6 @@ class TrainConfig:
     lam: float = 0.001
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     seed: int = 0
-    dropout: bool = True
     segments: int | None = None
     checkpoint_interval: int = 0  # epochs between checkpoints; 0 = final only
     eval_every: int = 1
@@ -128,11 +131,46 @@ def build_model(input_dim: int, cfg: TrainConfig) -> ScoringModel:
     )
 
 
+def _check_resume(
+    cfg: TrainConfig, input_dim: int, model: ScoringModel, optimizer: Optimizer, meta: dict
+) -> None:
+    """Raise ConfigError unless the checkpoint comes from a run with ``cfg``'s settings.
+
+    Only epochs, checkpoint_interval, eval_every and out_dir may differ.
+    """
+    saved = {
+        **{k: meta.get(k, "<not recorded>") for k in _META_SETTINGS},
+        "layer_dims": model.config.layer_dims,
+        "output_activation": model.config.output_activation,
+        "dropout_rate": model.config.dropout_rate,
+        "optimizer": optimizer.cfg.kind,
+        "lr": optimizer.lr,
+    }
+    configured = {
+        **{k: getattr(cfg, k) for k in _META_SETTINGS},
+        "layer_dims": (input_dim, *cfg.hidden_dims, 1),
+        "output_activation": cfg.output_activation,
+        "dropout_rate": cfg.dropout_rate,
+        "optimizer": cfg.optimizer.kind,
+        "lr": cfg.optimizer.effective_lr,
+    }
+    diffs = [
+        f"{k}: checkpoint {saved[k]!r}, configured {configured[k]!r}"
+        for k in configured
+        if saved[k] != configured[k]
+    ]
+    if diffs:
+        raise ConfigError("checkpoint does not match the configuration: " + "; ".join(diffs))
+    if meta["epoch"] > cfg.epochs:
+        raise ConfigError(
+            f"checkpoint is at epoch {meta['epoch']}, past the configured {cfg.epochs} epochs"
+        )
+
+
 def train(
     train_set: Dataset,
     cfg: TrainConfig,
     val_set: Dataset | None = None,
-    init_model: ScoringModel | None = None,
     resume_from: str | Path | None = None,
 ) -> tuple[ScoringModel, TrainLog]:
     """Train a scorer on the given bags; deterministic for fixed inputs.
@@ -168,25 +206,16 @@ def train(
     best_epoch = None
     if resume_from is not None:
         model, optimizer, meta = load_train_checkpoint(resume_from)
-        if meta["seed"] != cfg.seed:
-            raise ConfigError(f"checkpoint seed {meta['seed']} != configured seed {cfg.seed}")
-        if optimizer.cfg.kind != cfg.optimizer.kind:
-            raise ConfigError(
-                f"checkpoint optimizer {optimizer.cfg.kind!r} != configured {cfg.optimizer.kind!r}"
-            )
-        start_epoch = int(meta["epoch"]) + 1
-        iteration = int(meta["iteration"])
+        _check_resume(cfg, train_set.dim, model, optimizer, meta)
+        start_epoch = meta["epoch"] + 1
+        iteration = meta["iteration"]
         best_val_auc = meta.get("best_val_auc")
         best_epoch = meta.get("best_epoch")
     else:
-        model = init_model.copy() if init_model is not None else build_model(train_set.dim, cfg)
-        if model.config.input_dim != train_set.dim:
-            raise ConfigError(
-                f"model expects dim {model.config.input_dim}, dataset has {train_set.dim}"
-            )
+        model = build_model(train_set.dim, cfg)
         optimizer = make_optimizer(cfg.optimizer)
 
-    use_dropout = cfg.dropout and model.config.dropout_rate > 0.0
+    use_dropout = cfg.dropout_rate > 0.0
     log = TrainLog()
     started = time.perf_counter()
     last_checkpoint = None
@@ -195,7 +224,7 @@ def train(
         return {
             "epoch": epoch,
             "iteration": iteration,
-            "seed": cfg.seed,
+            **{k: getattr(cfg, k) for k in _META_SETTINGS},
             "best_val_auc": best_val_auc,
             "best_epoch": best_epoch,
         }
@@ -254,9 +283,9 @@ def compare_optimizers(
 ) -> list[tuple[str, float]]:
     """Train one model per optimizer kind from one shared initialization.
 
-    Every run reuses the same seed, initial parameters and batch schedule,
-    so rows differ only by the update rule. Returns (kind, val AUC) rows in
-    the given order.
+    Every run reuses the same seed, hence the same initial parameters and
+    batch schedule, so rows differ only by the update rule. Returns
+    (kind, val AUC) rows in the given order.
     """
     if not kinds:
         raise ConfigError("kinds must be non-empty")
@@ -265,11 +294,10 @@ def compare_optimizers(
     val_bags = list(val_set.bags)
     if base_cfg.segments is not None:
         val_bags = [pool_segments(b, base_cfg.segments) for b in val_bags]
-    init = build_model(train_set.dim, base_cfg)
     rows = []
     for kind in kinds:
         opt_cfg = replace(base_cfg.optimizer, kind=kind)
         run_cfg = replace(base_cfg, optimizer=opt_cfg, out_dir=None)
-        model, _ = train(train_set, run_cfg, val_set=None, init_model=init)
+        model, _ = train(train_set, run_cfg, val_set=None)
         rows.append((kind, roc_auc(score_bags(model, val_bags)).auc))
     return rows

@@ -78,6 +78,16 @@ def _drop(*path):
     return edit
 
 
+def _set(*path, value):
+    def edit(header):
+        node = header
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "path",
     [("model",), ("model", "layer_dims"), ("model", "hidden_activation"),
@@ -123,6 +133,97 @@ def test_train_header_missing_key_is_format_error(train_checkpoint, path):
     train_checkpoint.write_bytes(repack(train_checkpoint.read_bytes(), _drop(*path)))
     with pytest.raises(FormatError, match="header"):
         load_train_checkpoint(train_checkpoint)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("optimizer", "t"), "1"),
+        (("optimizer", "t"), -1),
+        (("optimizer", "t"), 1.0),
+        (("optimizer", "t"), True),
+        (("meta", "epoch"), "1"),
+        (("meta", "epoch"), None),
+        (("meta", "iteration"), -2),
+        (("meta", "seed"), 3.5),
+        (("meta", "best_val_auc"), "0.9"),
+        (("meta", "best_val_auc"), [0.9]),
+        (("meta", "best_val_auc"), True),
+        (("meta", "best_epoch"), 1.0),
+        (("meta", "best_epoch"), "1"),
+    ],
+)
+def test_train_header_badly_typed_counter_is_format_error(train_checkpoint, path, value):
+    train_checkpoint.write_bytes(repack(train_checkpoint.read_bytes(), _set(*path, value=value)))
+    with pytest.raises(FormatError, match=path[-1]):
+        load_train_checkpoint(train_checkpoint)
+
+
+def test_train_header_null_best_fields_load(train_checkpoint):
+    edit = _set("meta", value={"epoch": 1, "iteration": 2, "seed": 3,
+                               "best_val_auc": None, "best_epoch": None})
+    train_checkpoint.write_bytes(repack(train_checkpoint.read_bytes(), edit))
+    _, _, meta = load_train_checkpoint(train_checkpoint)
+    assert meta["best_val_auc"] is None and meta["best_epoch"] is None
+
+
+@pytest.mark.parametrize("slot_names", [["m"], ["v"], [], ["m", "v", "w"], ["v", "m"]])
+def test_slot_names_other_than_the_kinds_are_format_error(train_checkpoint, slot_names):
+    # an Adam checkpoint without v would otherwise resume with v recreated as zeros
+    header, arrays = unpack_container(train_checkpoint.read_bytes())
+    header["optimizer"]["slot_names"] = slot_names
+    kept = [
+        (k, a) for k, a in arrays.items()
+        if not k.startswith("opt.") or k.split(".")[1] in slot_names
+    ]
+    train_checkpoint.write_bytes(pack_container(header, kept))
+    with pytest.raises(FormatError, match="slot_names"):
+        load_train_checkpoint(train_checkpoint)
+
+
+@pytest.mark.parametrize("key", ["beta1", "beta2", "rho", "eps"])
+def test_other_optimizer_constant_is_format_error(train_checkpoint, key):
+    edit = _set("optimizer", key, value=0.5)
+    train_checkpoint.write_bytes(repack(train_checkpoint.read_bytes(), edit))
+    with pytest.raises(FormatError, match=key):
+        load_train_checkpoint(train_checkpoint)
+
+
+def _step_all(model, optimizer, value):
+    optimizer.step(model.param_list(), [np.full_like(p, value) for p in model.param_list()])
+
+
+def test_adam_round_trip_then_one_step_gives_equal_parameters(tmp_path):
+    model = init_glorot_normal((4, 3, 1), seed=0)
+    optimizer = make_optimizer(OptimizerConfig(kind="adam"))
+    for value in (0.5, -0.2, 0.1):
+        _step_all(model, optimizer, value)
+    path = tmp_path / "ckpt.mvck"
+    save_train_checkpoint(path, model, optimizer, {"epoch": 1, "iteration": 3, "seed": 0})
+    loaded_model, loaded_optimizer, _ = load_train_checkpoint(path)
+    assert loaded_optimizer.t == 3 and sorted(loaded_optimizer.slots) == ["m", "v"]
+    _step_all(model, optimizer, 0.3)
+    _step_all(loaded_model, loaded_optimizer, 0.3)
+    assert serialize_model(loaded_model) == serialize_model(model)
+    for name in ("m", "v"):
+        for a, b in zip(loaded_optimizer.slots[name], optimizer.slots[name]):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam", "adagrad", "rmsprop"])
+def test_checkpoint_before_the_first_step_holds_zero_slots(tmp_path, kind):
+    model = init_glorot_normal((4, 3, 1), seed=0)
+    fresh = make_optimizer(OptimizerConfig(kind=kind))
+    path = tmp_path / "ckpt.mvck"
+    save_train_checkpoint(path, model, fresh, {"epoch": 0, "iteration": 0, "seed": 0})
+    header, arrays = unpack_container(path.read_bytes())
+    assert header["optimizer"]["slot_names"] == sorted(fresh.slot_names)
+    assert all(not a.any() for k, a in arrays.items() if k.startswith("opt."))
+    loaded_model, loaded, _ = load_train_checkpoint(path)
+    assert loaded.t == 0
+    _step_all(model, fresh, 0.25)
+    _step_all(loaded_model, loaded, 0.25)
+    assert serialize_model(loaded_model) == serialize_model(model)
 
 
 def test_wrong_shape_optimizer_slot_is_format_error(train_checkpoint):

@@ -286,6 +286,76 @@ def test_resume_with_wrong_shape_optimizer_slot_exits_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.fixture
+def adam_run(tmp_path, capsys):
+    data = tmp_path / "data"
+    run_cli(capsys, *gen_args(data))
+    flags = [
+        "--manifest", str(data / "manifest.jsonl"), "--optimizer", "adam",
+        "--batch-bags", "4", "--hidden", "8,4", "--seed", "2",
+        "--out", str(tmp_path / "model.mvck"),
+    ]
+    code, _, _ = run_cli(capsys, "train", *flags, "--epochs", "1")
+    assert code == 0
+    return flags, tmp_path / "final.mvck"
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--lambda", "0.5", "lam"),
+        ("--batch-bags", "6", "bags_per_batch"),
+        ("--segments", "3", "segments"),
+        ("--hidden", "8", "layer_dims"),
+        ("--activation", "tanh", "output_activation"),
+        ("--dropout-rate", "0", "dropout_rate"),
+        ("--lr", "0.5", "lr"),
+        ("--optimizer", "rmsprop", "optimizer"),
+        ("--seed", "9", "seed"),
+    ],
+)
+def test_resume_with_a_changed_flag_exits_one(adam_run, capsys, flag, value, field):
+    flags, final = adam_run
+    code, _, err = run_cli(
+        capsys, "train", *flags, flag, value, "--epochs", "2", "--resume", str(final)
+    )
+    assert code == 1
+    diffs = err.strip().split("configuration: ", 1)[1].split("; ")
+    assert len(diffs) == 1 and diffs[0].startswith(f"{field}: checkpoint ")
+    assert "configured " in diffs[0] and "Traceback" not in err
+
+
+def test_resume_of_adam_checkpoint_without_v_exits_two(adam_run, capsys):
+    flags, final = adam_run
+    header, arrays = unpack_container(final.read_bytes())
+    header["optimizer"]["slot_names"] = ["m"]
+    kept = [(k, a) for k, a in arrays.items() if not k.startswith("opt.v.")]
+    final.write_bytes(pack_container(header, kept))
+    code, _, err = run_cli(capsys, "train", *flags, "--epochs", "2", "--resume", str(final))
+    assert code == 2
+    assert "slot_names" in err and "Traceback" not in err
+
+
+def test_resume_past_the_configured_epochs_exits_one(adam_run, capsys):
+    flags, final = adam_run
+    for epochs in ("1", "2"):  # a checkpoint at the last epoch resumes to no further step
+        code, _, _ = run_cli(capsys, "train", *flags, "--epochs", epochs, "--resume", str(final))
+        assert code == 0
+    code, _, err = run_cli(capsys, "train", *flags, "--epochs", "1", "--resume", str(final))
+    assert code == 1
+    assert "epoch 2, past the configured 1" in err
+
+
+@pytest.mark.parametrize("key", ["no_dropout", "epoch"])
+def test_config_key_no_subcommand_accepts_exits_one(tmp_path, capsys, key):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"dim": 4, key: True}))
+    code, _, err = run_cli(capsys, "gen", "--out", str(tmp_path / "x"), "--config", str(cfg))
+    assert code == 1
+    assert key in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_train_out_is_the_only_model_file(tmp_path, capsys):
     data = tmp_path / "data"
     run_cli(capsys, *gen_args(data, **{"pos_test": 2, "neg_test": 2}))

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from milvid.bag_model import load_dataset
-from milvid.checkpoint import serialize_model
+from milvid.checkpoint import pack_container, serialize_model, unpack_container
 from milvid.errors import ConfigError, TrainingAbort
 from milvid.evaluation import evaluate_bags
 from milvid.feature_store import SynthConfig, synthesize_dataset
-from milvid.optimizers import OptimizerConfig
+from milvid.optimizers import KINDS, OptimizerConfig
 from milvid.trainer import TrainConfig, compare_optimizers, plan_batches, train
 
 from conftest import make_bag
@@ -72,16 +72,24 @@ def test_identical_runs_are_bitwise_identical(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
-def test_resume_reproduces_uninterrupted_run(tmp_path):
+@pytest.mark.parametrize("kind", KINDS)
+def test_resume_reproduces_uninterrupted_run(tmp_path, kind):
     train_set, val_set = tiny_dataset(tmp_path)
     full = tmp_path / "full"
     half = tmp_path / "half"
     resumed = tmp_path / "resumed"
-    model_full, _ = train(train_set, tiny_config(epochs=6, out_dir=full), val_set=val_set)
-    train(train_set, tiny_config(epochs=3, checkpoint_interval=3, out_dir=half), val_set=val_set)
+    opt = OptimizerConfig(kind=kind)
+    model_full, _ = train(
+        train_set, tiny_config(epochs=6, optimizer=opt, out_dir=full), val_set=val_set
+    )
+    train(
+        train_set,
+        tiny_config(epochs=3, optimizer=opt, checkpoint_interval=3, out_dir=half),
+        val_set=val_set,
+    )
     model_resumed, _ = train(
         train_set,
-        tiny_config(epochs=6, out_dir=resumed),
+        tiny_config(epochs=6, optimizer=opt, out_dir=resumed),
         val_set=val_set,
         resume_from=half / "ckpt-0003.mvck",
     )
@@ -105,17 +113,77 @@ def test_objective_decreases_on_separable_data(tmp_path):
     assert values[-1] < values[0]
 
 
+def test_resume_names_every_changed_setting_with_both_values(tmp_path):
+    train_set, _ = tiny_dataset(tmp_path)
+    out = tmp_path / "run"
+    train(train_set, tiny_config(epochs=2, checkpoint_interval=2, out_dir=out))
+    with pytest.raises(ConfigError) as info:
+        train(
+            train_set,
+            tiny_config(epochs=4, lam=0.5, hidden_dims=(32,)),
+            resume_from=out / "ckpt-0002.mvck",
+        )
+    message = str(info.value)
+    assert "lam: checkpoint 0.001, configured 0.5" in message
+    assert "layer_dims: checkpoint (8, 16, 4, 1), configured (8, 32, 1)" in message
+
+
+def test_resume_refuses_a_checkpoint_that_does_not_record_the_run_settings(tmp_path):
+    # the meta of older checkpoints holds no lam, bags_per_batch or segments
+    train_set, _ = tiny_dataset(tmp_path)
+    out = tmp_path / "run"
+    train(train_set, tiny_config(epochs=2, checkpoint_interval=2, out_dir=out))
+    ckpt = out / "ckpt-0002.mvck"
+    header, arrays = unpack_container(ckpt.read_bytes())
+    for key in ("lam", "bags_per_batch", "segments"):
+        del header["meta"][key]
+    ckpt.write_bytes(pack_container(header, list(arrays.items())))
+    with pytest.raises(ConfigError, match="lam: checkpoint '<not recorded>', configured 0.001"):
+        train(train_set, tiny_config(epochs=4), resume_from=ckpt)
+
+
+def test_resume_may_change_epochs_interval_eval_and_out_dir(tmp_path):
+    train_set, val_set = tiny_dataset(tmp_path)
+    out = tmp_path / "run"
+    train(train_set, tiny_config(epochs=2, checkpoint_interval=2, out_dir=out))
+    _, log = train(
+        train_set,
+        tiny_config(epochs=4, checkpoint_interval=1, eval_every=2, out_dir=tmp_path / "more"),
+        val_set=val_set,
+        resume_from=out / "ckpt-0002.mvck",
+    )
+    assert {r.epoch for r in log.rows} == {3, 4}
+
+
+def test_resume_past_the_configured_epochs_is_rejected(tmp_path):
+    train_set, _ = tiny_dataset(tmp_path)
+    out = tmp_path / "run"
+    train(train_set, tiny_config(epochs=3, checkpoint_interval=3, out_dir=out))
+    with pytest.raises(ConfigError, match="epoch 3, past the configured 2"):
+        train(
+            train_set,
+            tiny_config(epochs=2, out_dir=tmp_path / "resumed"),
+            resume_from=out / "ckpt-0003.mvck",
+        )
+    assert not (tmp_path / "resumed" / "final.mvck").exists()
+
+
 def test_nan_objective_aborts(tmp_path):
     # an unbounded (identity-output) scorer with an absurd rate blows up fast
     train_set, _ = tiny_dataset(tmp_path)
-    from milvid.scorer import init_glorot_normal
-
-    model = init_glorot_normal((8, 16, 1), seed=0, output_activation="identity")
-    cfg = tiny_config(
-        epochs=50, optimizer=OptimizerConfig(kind="sgd", lr=1e300), dropout=False
+    cfg = TrainConfig(
+        epochs=50,
+        bags_per_batch=4,
+        seed=5,
+        hidden_dims=(16,),
+        output_activation="identity",
+        dropout_rate=0.0,
+        optimizer=OptimizerConfig(kind="sgd", lr=1e300),
     )
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingAbort):
-        train(train_set, cfg, init_model=model)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        TrainingAbort, match="iteration 2"
+    ):
+        train(train_set, cfg)
 
 
 @settings(max_examples=60, deadline=None)
