@@ -27,9 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptionError, FormatError
+from .errors import ConfigError, CorruptionError, FormatError
 from .optimizers import BETA1, BETA2, EPS, RHO, Optimizer, OptimizerConfig, make_optimizer
-from .scorer import ScorerConfig, ScoringModel
+from .scorer import FlatParams, ScorerConfig, ScoringModel
 
 MAGIC = b"MVCK"
 VERSION = 1
@@ -39,10 +39,10 @@ _CRC = struct.Struct("<I")
 
 @contextlib.contextmanager
 def _malformed(what: str):
-    # a header that passed the checksum but holds the wrong keys or types
+    # a header that passed the checksum but holds the wrong keys, types or settings
     try:
         yield
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise FormatError(f"malformed {what}: {exc!r}") from None
 
 
@@ -66,7 +66,7 @@ def unpack_container(data: bytes) -> tuple[dict, dict[str, np.ndarray]]:
         raise FormatError(f"bad container magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise FormatError(f"unsupported container version {version}, expected {VERSION}")
-    body, stored = data[:-_CRC.size], _CRC.unpack(data[-_CRC.size:])[0]
+    body, stored = memoryview(data)[:-_CRC.size], _CRC.unpack(data[-_CRC.size:])[0]
     actual = zlib.crc32(body)
     if actual != stored:
         raise CorruptionError(f"checksum mismatch: stored {stored:#010x}, computed {actual:#010x}")
@@ -76,7 +76,7 @@ def unpack_container(data: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     arrays: dict[str, np.ndarray] = {}
     offset = header_end
     with _malformed("container header"):
-        header = json.loads(body[_PREFIX.size:header_end].decode("utf-8"))
+        header = json.loads(str(body[_PREFIX.size:header_end], "utf-8"))
         for entry in header["arrays"]:
             name, shape = entry["name"], tuple(entry["shape"])
             if not all(type(d) is int and d >= 0 for d in shape):
@@ -84,11 +84,8 @@ def unpack_container(data: bytes) -> tuple[dict, dict[str, np.ndarray]]:
             nbytes = math.prod(shape) * 8
             if offset + nbytes > len(body):
                 raise CorruptionError(f"payload truncated at array {name!r}")
-            arrays[name] = (
-                np.frombuffer(body, dtype="<f8", count=nbytes // 8, offset=offset)
-                .reshape(shape)
-                .astype(np.float64)
-            )
+            # read-only views of ``data``: the readers below copy what they keep
+            arrays[name] = np.frombuffer(body, "<f8", nbytes // 8, offset).reshape(shape)
             offset += nbytes
     if offset != len(body):
         raise CorruptionError(f"{len(body) - offset} unexpected trailing payload bytes")
@@ -179,10 +176,7 @@ def save_train_checkpoint(
     step, when none exists yet, they are written as zeros: the state that
     the first step creates.
     """
-    params = model.param_list()
-    slots = optimizer.slots or {
-        name: [np.zeros_like(p) for p in params] for name in optimizer.slot_names
-    }
+    slots = optimizer.slots or {name: np.zeros_like(model.theta) for name in optimizer.slot_names}
     header = {
         "kind": "train",
         "schema_version": 1,
@@ -198,8 +192,8 @@ def save_train_checkpoint(
     }
     arrays = _model_arrays(model)
     for name in sorted(slots):
-        for i, arr in enumerate(slots[name]):
-            arrays.append((f"opt.{name}.{i}", arr))
+        for i, view in enumerate(FlatParams(model.config.layer_dims, slots[name]).param_list()):
+            arrays.append((f"opt.{name}.{i}", view))
     _write_atomic(path, pack_container(header, arrays))
 
 
@@ -222,13 +216,14 @@ def load_train_checkpoint(path: str | Path) -> tuple[ScoringModel, Optimizer, di
             )
         params = model.param_list()
         for name in optimizer.slot_names:
-            optimizer.slots[name] = [arrays[f"opt.{name}.{i}"] for i in range(len(params))]
-            for i, (slot, p) in enumerate(zip(optimizer.slots[name], params)):
-                if slot.shape != p.shape:
+            parts = [arrays[f"opt.{name}.{i}"] for i in range(len(params))]
+            for i, (part, p) in enumerate(zip(parts, params)):
+                if part.shape != p.shape:
                     raise FormatError(
-                        f"optimizer slot opt.{name}.{i} has shape {slot.shape}, "
+                        f"optimizer slot opt.{name}.{i} has shape {part.shape}, "
                         f"parameter {i} has {p.shape}"
                     )
+            optimizer.slots[name] = np.concatenate([part.ravel() for part in parts])
         meta = header["meta"]
         counters = {k: meta[k] for k in ("epoch", "iteration", "seed")}
         for name, value in {"optimizer t": opt_h["t"], **counters}.items():

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -250,12 +251,19 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _threshold(args, model) -> float:
+    threshold = model.default_threshold if args.threshold is None else args.threshold
+    if not math.isfinite(threshold):
+        raise ConfigError(f"--threshold must be finite, got {threshold}")
+    return threshold
+
+
 def _cmd_score(args) -> int:
     model = load_model(args.model)
     m = read_features(args.features)
     bag = assemble_bag(m, label=1, bag_id=Path(args.features).name)
     scores, _ = forward_batch(model, bag.feature_matrix())
-    threshold = model.default_threshold if args.threshold is None else args.threshold
+    threshold = _threshold(args, model)
     top = float(scores.max())
     verdict = "+1" if top > threshold else "-1"
     print("clip,score")
@@ -276,8 +284,8 @@ def _eval_bags(args):
 
 def _cmd_eval(args) -> int:
     model = load_model(args.model)
-    bags = _eval_bags(args)
-    report = evaluate_bags(model, bags, threshold=args.threshold)
+    threshold = _threshold(args, model)
+    report = evaluate_bags(model, _eval_bags(args), threshold=threshold)
     text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")

@@ -213,8 +213,12 @@ class SynthConfig:
             raise ConfigError("test bag counts must be non-negative")
         if not 0.0 < self.witness_rate <= 1.0:
             raise ConfigError(f"witness_rate must be in (0, 1], got {self.witness_rate}")
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be non-negative")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ConfigError(f"noise_std must be a finite number >= 0, got {self.noise_std}")
+        if not math.isfinite(self.shift_magnitude):
+            raise ConfigError(f"shift_magnitude must be finite, got {self.shift_magnitude}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def witnesses_per_bag(self) -> int:

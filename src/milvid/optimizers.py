@@ -1,14 +1,15 @@
 """First-order update rules: SGD, Adagrad, RMSprop, Adam.
 
-All four share one interface: ``step(params, grads)`` updates the parameter
-arrays in place and advances the optimizer's internal state. Accumulators
-are created lazily with the shapes of the first ``step`` call and are part
-of training checkpoints, so a resumed run continues bit-identically.
+All four share one interface: ``step(theta, grad)`` updates the flat
+parameter vector in place and advances the optimizer's internal state. Each
+accumulator is one flat vector like ``theta``, zero before the first step,
+and is part of training checkpoints, so a resumed run continues bit-identically.
 Epsilon sits outside the square root: ``lr * g / (sqrt(v) + eps)``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,8 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown optimizer kind {self.kind!r}, expected one of {KINDS}")
-        if self.lr is not None and self.lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.lr}")
+        if self.lr is not None and not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be a positive finite number, got {self.lr}")
 
     @property
     def effective_lr(self) -> float:
@@ -42,7 +43,7 @@ class OptimizerConfig:
 
 
 class Optimizer:
-    """Base class holding the step counter and lazily-shaped accumulators."""
+    """Base class holding the step counter and one flat accumulator per slot."""
 
     slot_names: tuple[str, ...] = ()
 
@@ -50,72 +51,59 @@ class Optimizer:
         self.cfg = cfg
         self.lr = cfg.effective_lr
         self.t = 0
-        self.slots: dict[str, list[np.ndarray]] = {}
+        self.slots: dict[str, np.ndarray] = {}
 
-    def _ensure_slots(self, params: list[np.ndarray]) -> None:
-        for name in self.slot_names:
-            if name not in self.slots:
-                self.slots[name] = [np.zeros_like(p) for p in params]
-
-    def _check(self, params, grads) -> None:
-        if len(params) != len(grads):
-            raise ConfigError("params and grads must have the same length")
-        for i, (p, g) in enumerate(zip(params, grads)):
-            if p.shape != g.shape:
-                raise ConfigError(f"gradient {i} shape {g.shape} != parameter shape {p.shape}")
-            if not np.all(np.isfinite(g)):
-                bad = int(np.count_nonzero(~np.isfinite(g)))
-                raise TrainingAbort(
-                    f"non-finite gradient for parameter {i} ({bad} bad entries) at step {self.t}"
-                )
-
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        self._check(params, grads)
-        self._ensure_slots(params)
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        """Update the flat parameter vector ``theta`` in place from ``grad``."""
+        if theta.shape != grad.shape:
+            raise ConfigError(f"gradient shape {grad.shape} != parameter shape {theta.shape}")
+        if not np.all(np.isfinite(grad)):
+            bad = int(np.count_nonzero(~np.isfinite(grad)))
+            raise TrainingAbort(f"non-finite gradient ({bad} bad entries) at step {self.t}")
+        if not self.slots:
+            self.slots = {name: np.zeros_like(theta) for name in self.slot_names}
         self.t += 1
-        self._update(params, grads)
+        self._update(theta, grad)
 
-    def _update(self, params, grads) -> None:
+    def _update(self, p, g) -> None:
         raise NotImplementedError
 
 
 class SGD(Optimizer):
-    def _update(self, params, grads):
-        for p, g in zip(params, grads):
-            p -= self.lr * g
+    def _update(self, p, g):
+        p -= self.lr * g
 
 
 class Adagrad(Optimizer):
     slot_names = ("sq_sum",)
 
-    def _update(self, params, grads):
-        for p, g, G in zip(params, grads, self.slots["sq_sum"]):
-            G += g * g
-            p -= self.lr * g / (np.sqrt(G) + EPS)
+    def _update(self, p, g):
+        self.slots["sq_sum"] += g * g
+        p -= self.lr * g / (np.sqrt(self.slots["sq_sum"]) + EPS)
 
 
 class RMSprop(Optimizer):
     slot_names = ("sq_avg",)
 
-    def _update(self, params, grads):
-        for p, g, v in zip(params, grads, self.slots["sq_avg"]):
-            v *= RHO
-            v += (1.0 - RHO) * g * g
-            p -= self.lr * g / (np.sqrt(v) + EPS)
+    def _update(self, p, g):
+        v = self.slots["sq_avg"]
+        v *= RHO
+        v += (1.0 - RHO) * g * g
+        p -= self.lr * g / (np.sqrt(v) + EPS)
 
 
 class Adam(Optimizer):
     slot_names = ("m", "v")
 
-    def _update(self, params, grads):
+    def _update(self, p, g):
         bc1 = 1.0 - BETA1**self.t
         bc2 = 1.0 - BETA2**self.t
-        for p, g, m, v in zip(params, grads, self.slots["m"], self.slots["v"]):
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        m, v = self.slots["m"], self.slots["v"]
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 _CLASSES = {"sgd": SGD, "adagrad": Adagrad, "rmsprop": RMSprop, "adam": Adam}

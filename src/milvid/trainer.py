@@ -54,8 +54,10 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.bags_per_batch < 1:
             raise ConfigError("bags_per_batch must be >= 1")
-        if self.lam < 0:
-            raise ConfigError("lam must be >= 0")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError(f"lam must be a finite number >= 0, got {self.lam}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.segments is not None and self.segments < 1:
             raise ConfigError("segments must be >= 1")
         if self.checkpoint_interval < 0 or self.eval_every < 1:
@@ -247,7 +249,7 @@ def train(
                     f"objective became non-finite at iteration {iteration + 1}; "
                     f"last good checkpoint: {last_checkpoint or 'none'}"
                 )
-            optimizer.step(model.param_list(), grads.param_list())
+            optimizer.step(model.theta, grads.vector)
             iteration += 1
             log.rows.append(
                 LogRow(iteration, epoch, value, None, time.perf_counter() - started)

@@ -126,45 +126,44 @@ def test_metric_identities():
 def test_optimizer_unit_checks():
     # hand-computed first steps
     opt = make_optimizer(OptimizerConfig(kind="sgd", lr=0.1))
-    p = [np.array([1.0])]
-    opt.step(p, [np.array([0.2])])
-    assert abs(p[0][0] - 0.98) < 1e-12
+    p = np.array([1.0])
+    opt.step(p, np.array([0.2]))
+    assert abs(p[0] - 0.98) < 1e-12
 
     opt = make_optimizer(OptimizerConfig(kind="adagrad", lr=0.1))
-    p = [np.array([0.0])]
-    opt.step(p, [np.array([2.0])])
-    assert opt.slots["sq_sum"][0][0] == 4.0
-    assert abs(p[0][0] - (-0.1 * 2.0 / (np.sqrt(4.0) + 1e-8))) < 1e-12
+    p = np.array([0.0])
+    opt.step(p, np.array([2.0]))
+    assert opt.slots["sq_sum"][0] == 4.0
+    assert abs(p[0] - (-0.1 * 2.0 / (np.sqrt(4.0) + 1e-8))) < 1e-12
 
     opt = make_optimizer(OptimizerConfig(kind="adam", lr=0.001))
-    p = [np.array([0.0])]
-    opt.step(p, [np.array([0.5])])
+    p = np.array([0.0])
+    opt.step(p, np.array([0.5]))
     m_hat, v_hat = 0.5, 0.25  # first-step bias correction recovers g and g^2
-    assert abs(p[0][0] - (-0.001 * m_hat / (np.sqrt(v_hat) + 1e-8))) < 1e-12
+    assert abs(p[0] - (-0.001 * m_hat / (np.sqrt(v_hat) + 1e-8))) < 1e-12
 
     opt = make_optimizer(OptimizerConfig(kind="rmsprop", lr=0.01))
-    p = [np.array([0.0])]
-    opt.step(p, [np.array([1.0])])
-    assert abs(p[0][0] - (-0.01 / (np.sqrt(0.1) + 1e-8))) < 1e-12
+    p = np.array([0.0])
+    opt.step(p, np.array([1.0]))
+    assert abs(p[0] - (-0.01 / (np.sqrt(0.1) + 1e-8))) < 1e-12
 
     # zero gradient leaves parameters unchanged
     rng = np.random.default_rng(5)
     for kind in ("sgd", "adam", "adagrad", "rmsprop"):
-        params = [rng.normal(size=(3, 2)), rng.normal(size=4)]
-        before = [q.copy() for q in params]
+        theta = rng.normal(size=10)
+        before = theta.copy()
         opt = make_optimizer(OptimizerConfig(kind=kind))
-        opt.step(params, [np.zeros_like(q) for q in params])
-        for q, b in zip(params, before):
-            assert np.array_equal(q, b)
+        opt.step(theta, np.zeros_like(theta))
+        assert np.array_equal(theta, before)
 
     # SGD on the unit quadratic contracts by exactly |1 - lr|
     for lr in (0.1, 0.5, 1.9):
         opt = make_optimizer(OptimizerConfig(kind="sgd", lr=lr))
-        p = [np.array([0.7])]
+        p = np.array([0.7])
         for _ in range(6):
-            before = abs(p[0][0])
-            opt.step(p, [p[0].copy()])
-            assert abs(p[0][0]) == pytest.approx(abs(1.0 - lr) * before, rel=1e-12)
+            before = abs(p[0])
+            opt.step(p, p.copy())
+            assert abs(p[0]) == pytest.approx(abs(1.0 - lr) * before, rel=1e-12)
     _passed("optimizer unit checks (hand steps at 1e-12; zero-grad fixpoint; SGD contraction)")
 
 

@@ -111,7 +111,7 @@ def test_model_missing_weight_array_is_format_error():
 def train_checkpoint(tmp_path):
     model = init_glorot_normal((4, 3, 1), seed=0)
     optimizer = make_optimizer(OptimizerConfig(kind="adam"))
-    optimizer.step(model.param_list(), [np.ones_like(p) for p in model.param_list()])
+    optimizer.step(model.theta, np.ones_like(model.theta))
     path = tmp_path / "ckpt.mvck"
     save_train_checkpoint(path, model, optimizer, {"epoch": 1, "iteration": 2, "seed": 3})
     return path
@@ -189,8 +189,23 @@ def test_other_optimizer_constant_is_format_error(train_checkpoint, key):
         load_train_checkpoint(train_checkpoint)
 
 
+def test_header_naming_an_unknown_optimizer_is_format_error(train_checkpoint):
+    # a valid-CRC header whose settings fail config validation is a format error
+    edit = _set("optimizer", "kind", value="lbfgs")
+    train_checkpoint.write_bytes(repack(train_checkpoint.read_bytes(), edit))
+    with pytest.raises(FormatError, match="lbfgs"):
+        load_train_checkpoint(train_checkpoint)
+
+
+def test_header_naming_an_unknown_output_activation_is_format_error():
+    edit = _set("model", "output_activation", value="softmax")
+    blob = repack(serialize_model(init_glorot_normal((4, 3, 1), seed=0)), edit)
+    with pytest.raises(FormatError, match="softmax"):
+        deserialize_model(blob)
+
+
 def _step_all(model, optimizer, value):
-    optimizer.step(model.param_list(), [np.full_like(p, value) for p in model.param_list()])
+    optimizer.step(model.theta, np.full_like(model.theta, value))
 
 
 def test_adam_round_trip_then_one_step_gives_equal_parameters(tmp_path):
@@ -206,8 +221,7 @@ def test_adam_round_trip_then_one_step_gives_equal_parameters(tmp_path):
     _step_all(loaded_model, loaded_optimizer, 0.3)
     assert serialize_model(loaded_model) == serialize_model(model)
     for name in ("m", "v"):
-        for a, b in zip(loaded_optimizer.slots[name], optimizer.slots[name]):
-            assert np.array_equal(a, b)
+        assert np.array_equal(loaded_optimizer.slots[name], optimizer.slots[name])
 
 
 @pytest.mark.parametrize("kind", ["sgd", "adam", "adagrad", "rmsprop"])

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from milvid import cli
 from milvid.checkpoint import pack_container, save_model, unpack_container
@@ -422,3 +429,121 @@ def test_bad_manifest_exits_two(workspace, capsys, line):
     code, _, err = run_cli(capsys, "eval", "--model", str(model), "--manifest", str(manifest))
     assert code == 2
     assert err.startswith("milvid: error:") and "bad.jsonl" in err
+
+
+def test_resume_from_a_header_naming_an_unknown_optimizer_exits_two(adam_run, capsys):
+    flags, final = adam_run
+    header, arrays = unpack_container(final.read_bytes())
+    header["optimizer"]["kind"] = "lbfgs"
+    final.write_bytes(pack_container(header, list(arrays.items())))
+    code, _, err = run_cli(capsys, "train", *flags, "--epochs", "2", "--resume", str(final))
+    assert code == 2
+    assert "lbfgs" in err and "Traceback" not in err
+
+
+def test_eval_of_a_model_naming_an_unknown_output_activation_exits_two(workspace, capsys):
+    _, data, model = workspace
+    header, arrays = unpack_container(model.read_bytes())
+    header["model"]["output_activation"] = "softmax"
+    model.write_bytes(pack_container(header, list(arrays.items())))
+    code, _, err = run_cli(
+        capsys, "eval", "--model", str(model), "--manifest", str(data / "manifest.jsonl")
+    )
+    assert code == 2
+    assert "softmax" in err and "Traceback" not in err
+
+
+def main_in_process(argv):
+    """(exit code, stderr) of ``cli.main``; argparse's own exits count as exit codes."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    base = tmp_path_factory.mktemp("cli_inputs")
+    data, model = base / "data", base / "model.mvck"
+    assert main_in_process(gen_args(data, pos_test=2, neg_test=2))[0] == 0
+    train = ["train", "--manifest", str(data / "manifest.jsonl"), "--epochs", "1",
+             "--batch-bags", "4", "--hidden", "4", "--out", str(model)]
+    assert main_in_process(train)[0] == 0
+    return data, model
+
+
+def valid_argv(command, cli_inputs, out: Path) -> list[str]:
+    """A cheap ``command`` invocation that exits 0; a flag appended later overrides its value."""
+    data, model = cli_inputs
+    manifest = str(data / "manifest.jsonl")
+    return {
+        "gen": gen_args(out / "data"),
+        "train": ["train", "--manifest", manifest, "--epochs", "1", "--batch-bags", "4",
+                  "--hidden", "4", "--out", str(out / "model.mvck")],
+        "eval": ["eval", "--model", str(model), "--manifest", manifest],
+        "score": ["score", "--model", str(model), "--features", str(data / "test-pos-0000.mil1")],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["gen", "train", "eval", "score"])
+def test_valid_argv_exits_zero(cli_inputs, tmp_path, command):
+    assert main_in_process(valid_argv(command, cli_inputs, tmp_path)) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, field",
+    [
+        ("gen", "--seed", "-1", "seed"),
+        ("gen", "--shift", "nan", "shift_magnitude"),
+        ("gen", "--shift", "inf", "shift_magnitude"),
+        ("gen", "--noise", "inf", "noise_std"),
+        ("gen", "--noise", "nan", "noise_std"),
+        ("train", "--seed", "-1", "seed"),
+        ("train", "--lr", "nan", "lr"),
+        ("train", "--lr", "inf", "lr"),
+        ("train", "--lambda", "nan", "lam"),
+        ("train", "--lambda", "inf", "lam"),
+        ("eval", "--threshold", "nan", "--threshold"),
+        ("eval", "--threshold", "-inf", "--threshold"),
+        ("score", "--threshold", "inf", "--threshold"),
+    ],
+)
+def test_bad_numeric_flag_exits_one_naming_the_field(
+    cli_inputs, tmp_path, command, flag, value, field
+):
+    code, err = main_in_process([*valid_argv(command, cli_inputs, tmp_path), f"{flag}={value}"])
+    assert code == 1
+    assert err.startswith("milvid: error: ") and field in err and "Traceback" not in err
+    assert not (tmp_path / "data").exists() and not (tmp_path / "model.mvck").exists()
+
+
+def numeric_flags(command: str) -> list[tuple[str, type]]:
+    _, subparsers = cli.build_parser()
+    flags = [(a.option_strings[0], a.type) for a in subparsers[command]._actions
+             if a.type in (int, float)]
+    return flags + [("--hidden", int)] if command == "train" else flags
+
+
+# Integer flags draw only negatives and 0: a huge --dim, --instances or
+# --epochs would start unbounded work or memory.
+FLOAT_VALUES = st.one_of(
+    st.floats(max_value=-1e-300, allow_infinity=False),
+    st.sampled_from([0.0, 1e308, math.nan, math.inf, -math.inf]),
+)
+INT_VALUES = st.integers(min_value=-(2**70), max_value=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_numeric_flag_value_exits_zero_one_or_two(cli_inputs, data):
+    command = data.draw(st.sampled_from(["gen", "train", "eval", "score"]), label="command")
+    flag, kind = data.draw(st.sampled_from(numeric_flags(command)), label="flag")
+    value = data.draw(FLOAT_VALUES if kind is float else INT_VALUES, label="value")
+    with tempfile.TemporaryDirectory() as out:
+        argv = [*valid_argv(command, cli_inputs, Path(out)), f"{flag}={value!r}"]
+        code, err = main_in_process(argv)
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err

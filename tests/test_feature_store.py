@@ -197,6 +197,17 @@ def test_bad_witness_rate_rejected(rate):
         SynthConfig(dim=4, n_pos_bags=1, n_neg_bags=1, instances_per_bag=4, witness_rate=rate)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", -1), ("shift_magnitude", math.nan), ("shift_magnitude", math.inf),
+     ("shift_magnitude", -math.inf), ("noise_std", math.nan), ("noise_std", math.inf),
+     ("noise_std", -1.0)],
+)
+def test_bad_synth_setting_is_rejected_by_name(field, value):
+    with pytest.raises(ConfigError, match=field):
+        SynthConfig(dim=4, n_pos_bags=1, n_neg_bags=1, instances_per_bag=4, **{field: value})
+
+
 def test_manifest_non_integer_label_is_format_error(tmp_path):
     path = tmp_path / "m.jsonl"
     path.write_text('{"bag_id": "a", "label": "x", "path": "a.mil1", "split": "train"}\n')

@@ -8,24 +8,24 @@ from milvid.optimizers import EPS, KINDS, OptimizerConfig, make_optimizer
 
 
 def single(value):
-    return [np.array([float(value)])]
+    return np.array([float(value)])
 
 
 def test_sgd_hand_step():
     opt = make_optimizer(OptimizerConfig(kind="sgd", lr=0.1))
     p = single(1.0)
     opt.step(p, single(0.2))
-    assert abs(p[0][0] - 0.98) < 1e-12
+    assert abs(p[0] - 0.98) < 1e-12
 
 
 def test_adagrad_hand_step():
     opt = make_optimizer(OptimizerConfig(kind="adagrad", lr=0.1))
     p = single(0.0)
     opt.step(p, single(2.0))
-    assert opt.slots["sq_sum"][0][0] == 4.0
+    assert opt.slots["sq_sum"][0] == 4.0
     expected = -0.1 * 2.0 / (np.sqrt(4.0) + 1e-8)
-    assert abs(p[0][0] - expected) < 1e-12
-    assert p[0][0] == pytest.approx(-0.1, abs=1e-8)
+    assert abs(p[0] - expected) < 1e-12
+    assert p[0] == pytest.approx(-0.1, abs=1e-8)
 
 
 def test_adam_first_step():
@@ -36,18 +36,18 @@ def test_adam_first_step():
     v_hat = (0.001 * 0.25) / (1 - 0.999)
     assert m_hat == pytest.approx(0.5) and v_hat == pytest.approx(0.25)
     expected = -0.001 * m_hat / (np.sqrt(v_hat) + 1e-8)
-    assert abs(p[0][0] - expected) < 1e-12
-    assert p[0][0] == pytest.approx(-0.001, rel=1e-6)
+    assert abs(p[0] - expected) < 1e-12
+    assert p[0] == pytest.approx(-0.001, rel=1e-6)
 
 
 def test_rmsprop_first_step():
     opt = make_optimizer(OptimizerConfig(kind="rmsprop", lr=0.01))
     p = single(0.0)
     opt.step(p, single(1.0))
-    assert opt.slots["sq_avg"][0][0] == pytest.approx(0.1, abs=1e-15)
+    assert opt.slots["sq_avg"][0] == pytest.approx(0.1, abs=1e-15)
     expected = -0.01 * 1.0 / (np.sqrt(0.1) + 1e-8)
-    assert abs(p[0][0] - expected) < 1e-12
-    assert p[0][0] == pytest.approx(-0.031623, abs=1e-6)
+    assert abs(p[0] - expected) < 1e-12
+    assert p[0] == pytest.approx(-0.031623, abs=1e-6)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -55,23 +55,22 @@ def test_rmsprop_first_step():
 @given(seed=st.integers(0, 2**31))
 def test_zero_gradient_is_a_fixpoint(kind, seed):
     rng = np.random.default_rng(seed)
-    params = [rng.normal(size=(3, 2)), rng.normal(size=4)]
-    before = [p.copy() for p in params]
+    theta = rng.normal(size=10)
+    before = theta.copy()
     opt = make_optimizer(OptimizerConfig(kind=kind))
     for _ in range(3):
-        opt.step(params, [np.zeros_like(p) for p in params])
-    for p, b in zip(params, before):
-        assert np.array_equal(p, b)
+        opt.step(theta, np.zeros_like(theta))
+    assert np.array_equal(theta, before)
 
 
 def test_adam_first_step_bounded_by_lr(rng):
     lr = 0.002
     for _ in range(20):
-        g = rng.normal(size=(4, 3)) * 10.0 ** rng.integers(-3, 4)
+        g = rng.normal(size=12) * 10.0 ** rng.integers(-3, 4)
         opt = make_optimizer(OptimizerConfig(kind="adam", lr=lr))
-        p = [np.zeros((4, 3))]
-        opt.step(p, [g.copy()])
-        assert np.all(np.abs(p[0]) <= lr * (1 + 1e-6))
+        p = np.zeros(12)
+        opt.step(p, g.copy())
+        assert np.all(np.abs(p) <= lr * (1 + 1e-6))
 
 
 def test_adagrad_steps_shrink_under_constant_gradient():
@@ -80,9 +79,9 @@ def test_adagrad_steps_shrink_under_constant_gradient():
     g = single(0.7)
     sizes = []
     for _ in range(10):
-        before = p[0][0]
-        opt.step(p, [g[0].copy()])
-        sizes.append(abs(p[0][0] - before))
+        before = p[0]
+        opt.step(p, g.copy())
+        sizes.append(abs(p[0] - before))
     assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
 
@@ -90,11 +89,11 @@ def test_adagrad_effective_rate_never_increases(rng):
     # lr / (sqrt(G) + eps) is monotone for any gradient sequence
     cfg = OptimizerConfig(kind="adagrad", lr=0.1)
     opt = make_optimizer(cfg)
-    p = [rng.normal(size=5)]
+    p = rng.normal(size=5)
     prev = None
     for _ in range(15):
-        opt.step(p, [np.abs(rng.normal(size=5)) + 0.01])
-        rate = cfg.effective_lr / (np.sqrt(opt.slots["sq_sum"][0]) + EPS)
+        opt.step(p, np.abs(rng.normal(size=5)) + 0.01)
+        rate = cfg.effective_lr / (np.sqrt(opt.slots["sq_sum"]) + EPS)
         if prev is not None:
             assert np.all(rate <= prev)
         prev = rate
@@ -106,15 +105,15 @@ def test_sgd_contracts_quadratic_exactly():
         opt = make_optimizer(OptimizerConfig(kind="sgd", lr=lr))
         p = single(0.3)
         for _ in range(8):
-            before = abs(p[0][0])
-            opt.step(p, [p[0].copy()])
-            assert abs(p[0][0]) == pytest.approx(abs(1 - lr) * before, rel=1e-12)
+            before = abs(p[0])
+            opt.step(p, p.copy())
+            assert abs(p[0]) == pytest.approx(abs(1 - lr) * before, rel=1e-12)
 
 
 def test_nonfinite_gradient_aborts():
     opt = make_optimizer(OptimizerConfig(kind="sgd"))
     with pytest.raises(TrainingAbort, match="non-finite"):
-        opt.step(single(1.0), [np.array([np.nan])])
+        opt.step(single(1.0), single(np.nan))
 
 
 def test_default_learning_rates():
@@ -128,6 +127,7 @@ def test_default_learning_rates():
 def test_config_validation():
     with pytest.raises(ConfigError):
         OptimizerConfig(kind="lbfgs")
-    with pytest.raises(ConfigError):
-        OptimizerConfig(kind="sgd", lr=-1.0)
+    for lr in (-1.0, 0.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError, match="lr"):
+            OptimizerConfig(kind="sgd", lr=lr)
 

@@ -203,3 +203,24 @@ def test_forward_batch_matches_single_scores(rng):
     batch_scores, _ = forward_batch(model, xs)
     for i in range(6):
         assert batch_scores[i] == score(model, xs[i])[0]
+
+
+def test_weights_and_biases_are_views_into_theta_in_layout_order():
+    model = init_glorot_normal((5, 3, 2, 1), seed=4)
+    dims = model.config.layer_dims
+    assert model.theta.shape == (sum(o * (i + 1) for i, o in zip(dims, dims[1:])),)
+    params = model.param_list()
+    assert [p.shape for p in params] == [(3, 5), (3,), (2, 3), (2,), (1, 2), (1,)]
+    assert all(p is w for p, w in zip(params[0::2], model.weights))
+    assert all(p is b for p, b in zip(params[1::2], model.biases))
+    for p in params:
+        assert np.shares_memory(p, model.theta)
+    # W0, b0, W1, b1, ... lie back to back, each row-major
+    assert np.array_equal(np.concatenate([p.ravel() for p in params]), model.theta)
+    model.theta[:] = np.arange(model.theta.size)
+    assert model.weights[0][1, 0] == 5.0 and model.biases[0][0] == 15.0
+    assert model.weights[1][0, 0] == 18.0 and model.biases[2][0] == 28.0
+    grads = Gradients.zeros_like(model)
+    assert grads.vector.shape == model.theta.shape and not grads.vector.any()
+    for g, p in zip(grads.param_list(), params):
+        assert g.shape == p.shape and np.shares_memory(g, grads.vector)

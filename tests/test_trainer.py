@@ -54,6 +54,14 @@ def test_epochs_zero_rejected():
         TrainConfig(epochs=0)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("seed", -1), ("lam", -1.0), ("lam", float("nan")), ("lam", float("inf"))]
+)
+def test_bad_setting_is_rejected_by_name(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig(epochs=1, **{field: value})
+
+
 def test_training_needs_both_classes(tmp_path):
     train_set, _ = tiny_dataset(tmp_path)
     positives_only = bag_model.Dataset(tuple(train_set.positives()), train_set.dim)
