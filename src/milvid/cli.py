@@ -66,16 +66,50 @@ def _load_config(path: str | None) -> dict:
     return values
 
 
+def _check_config_value(action: argparse.Action, value) -> None:
+    # argparse runs a string default through the flag's type like a command-line
+    # value, but passes any other JSON value to the subcommand unconverted
+    flag = action.option_strings[0]
+    if value is None and action.default is None:
+        return
+    if action.type is int:
+        fits = type(value) in (int, str)
+    elif action.type is float:
+        fits = type(value) in (int, float, str)
+    else:
+        fits = type(value) is str
+    if not fits:
+        raise ConfigError(f"config value for {flag} has the wrong type: {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(
+            f"config value for {flag} must be one of {list(action.choices)}, got {value!r}"
+        )
+
+
 def _apply_config(subparsers: dict, values: dict) -> None:
     # per-subcommand defaults; explicitly passed flags still take precedence
-    dests = {sp: {a.dest for a in sp._actions} - {"help", "config"} for sp in subparsers.values()}
-    unknown = sorted(set(values).difference(*dests.values()))
+    actions = {
+        sp: {a.dest: a for a in sp._actions if a.dest not in ("help", "config")}
+        for sp in subparsers.values()
+    }
+    unknown = sorted(set(values).difference(*actions.values()))
     if unknown:
         raise ConfigError(f"config file keys accepted by no subcommand: {', '.join(unknown)}")
-    for sp, known in dests.items():
+    for sp, known in actions.items():
         relevant = {k: v for k, v in values.items() if k in known}
+        for key, value in relevant.items():
+            _check_config_value(known[key], value)
         if relevant:
             sp.set_defaults(**relevant)
+
+
+def _widths(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(h) for h in text.split(",") if h.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integer widths, got {text!r}"
+        ) from None
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -90,7 +124,8 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch-bags", type=int, default=16, help="bags per optimizer step")
     p.add_argument("--segments", type=int, default=None, help="pool each bag to this many segments")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hidden", default="512,32", help="hidden layer widths, comma-separated")
+    p.add_argument("--hidden", type=_widths, default="512,32",
+                   help="hidden layer widths, comma-separated")
     p.add_argument("--activation", choices=["sigmoid", "tanh"], default="sigmoid",
                    help="output activation")
     p.add_argument("--dropout-rate", type=float, default=0.6,
@@ -194,7 +229,6 @@ def _cmd_gen(args) -> int:
 
 
 def _train_config(args, optimizer_kind: str) -> TrainConfig:
-    hidden = tuple(int(h) for h in args.hidden.split(",") if h.strip())
     return TrainConfig(
         epochs=args.epochs,
         bags_per_batch=args.batch_bags,
@@ -204,7 +238,7 @@ def _train_config(args, optimizer_kind: str) -> TrainConfig:
         segments=args.segments,
         checkpoint_interval=args.checkpoint_interval,
         eval_every=args.eval_every,
-        hidden_dims=hidden,
+        hidden_dims=args.hidden,
         output_activation=args.activation,
         dropout_rate=args.dropout_rate,
     )

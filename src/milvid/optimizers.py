@@ -5,6 +5,16 @@ parameter vector in place and advances the optimizer's internal state. Each
 accumulator is one flat vector like ``theta``, zero before the first step,
 and is part of training checkpoints, so a resumed run continues bit-identically.
 Epsilon sits outside the square root: ``lr * g / (sqrt(v) + eps)``.
+
+A step first checks the whole gradient for non-finite entries, so an abort
+writes nothing. It then walks ``theta``, ``grad`` and the accumulators in
+contiguous blocks of ``_BLOCK`` entries, and each rule runs on one block at a
+time as a chain of in-place ufuncs through two scratch vectors of one block
+each. The scratch is allocated once per optimizer and is not a slot, so no
+checkpoint holds it. Every rule evaluates the same elementwise operations in
+the same order as its whole-vector form, given in a comment above it, so the
+blocked step gives the same bits; the blocks only keep the data in cache
+between the operations of one step.
 """
 
 from __future__ import annotations
@@ -24,6 +34,12 @@ BETA1 = 0.9  # Adam first-moment decay
 BETA2 = 0.999  # Adam second-moment decay
 RHO = 0.9  # RMSprop squared-gradient decay
 EPS = 1e-8
+
+# entries per block of a step: 32K float64 (256 KB) per vector, so Adam's six
+# block vectors (1.5 MB) stay in a 2 MB L2 cache. On a 2-CPU Xeon an Adam step
+# at 2.1M parameters took about 48 ms whole-vector and 25-30 ms with blocks of
+# 16K-64K entries; 8K blocks pay more per-call overhead, 128K ones spill L2.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -52,58 +68,96 @@ class Optimizer:
         self.lr = cfg.effective_lr
         self.t = 0
         self.slots: dict[str, np.ndarray] = {}
+        self._scratch = np.empty((2, _BLOCK))
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         """Update the flat parameter vector ``theta`` in place from ``grad``."""
-        if theta.shape != grad.shape:
-            raise ConfigError(f"gradient shape {grad.shape} != parameter shape {theta.shape}")
+        if theta.ndim != 1 or theta.shape != grad.shape:
+            raise ConfigError(
+                f"step needs two flat vectors of one shape, got parameters {theta.shape} "
+                f"and gradient {grad.shape}"
+            )
         if not np.all(np.isfinite(grad)):
             bad = int(np.count_nonzero(~np.isfinite(grad)))
             raise TrainingAbort(f"non-finite gradient ({bad} bad entries) at step {self.t}")
         if not self.slots:
             self.slots = {name: np.zeros_like(theta) for name in self.slot_names}
+        slots = [self.slots[name] for name in self.slot_names]
+        for name, s in zip(self.slot_names, slots):
+            if s.shape != theta.shape:
+                raise ConfigError(f"slot {name!r} shape {s.shape} != parameter shape {theta.shape}")
         self.t += 1
-        self._update(theta, grad)
+        for lo in range(0, theta.size, _BLOCK):
+            p = theta[lo : lo + _BLOCK]
+            n = p.size
+            self._update(p, grad[lo : lo + n], *(s[lo : lo + n] for s in slots),
+                         self._scratch[0, :n], self._scratch[1, :n])
 
-    def _update(self, p, g) -> None:
+    def _update(self, p, g, *slots_and_scratch) -> None:
+        """Update one block: ``p``, ``g``, each slot in ``slot_names`` order, then ``s1, s2``."""
         raise NotImplementedError
 
 
 class SGD(Optimizer):
-    def _update(self, p, g):
-        p -= self.lr * g
+    def _update(self, p, g, s1, s2):
+        # p -= lr * g
+        np.multiply(self.lr, g, out=s1)
+        p -= s1
 
 
 class Adagrad(Optimizer):
     slot_names = ("sq_sum",)
 
-    def _update(self, p, g):
-        self.slots["sq_sum"] += g * g
-        p -= self.lr * g / (np.sqrt(self.slots["sq_sum"]) + EPS)
+    def _update(self, p, g, sq_sum, s1, s2):
+        # sq_sum += g * g;  p -= lr * g / (sqrt(sq_sum) + EPS)
+        np.multiply(g, g, out=s1)
+        sq_sum += s1
+        _scaled_step(p, g, sq_sum, self.lr, s1, s2)
 
 
 class RMSprop(Optimizer):
     slot_names = ("sq_avg",)
 
-    def _update(self, p, g):
-        v = self.slots["sq_avg"]
+    def _update(self, p, g, v, s1, s2):
+        # v = RHO * v + (1 - RHO) * g * g;  p -= lr * g / (sqrt(v) + EPS)
         v *= RHO
-        v += (1.0 - RHO) * g * g
-        p -= self.lr * g / (np.sqrt(v) + EPS)
+        np.multiply(1.0 - RHO, g, out=s1)
+        s1 *= g
+        v += s1
+        _scaled_step(p, g, v, self.lr, s1, s2)
 
 
 class Adam(Optimizer):
     slot_names = ("m", "v")
 
-    def _update(self, p, g):
+    def _update(self, p, g, m, v, s1, s2):
+        # m = B1 * m + (1 - B1) * g;  v = B2 * v + (1 - B2) * g * g
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + EPS)
         bc1 = 1.0 - BETA1**self.t
         bc2 = 1.0 - BETA2**self.t
-        m, v = self.slots["m"], self.slots["v"]
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        np.multiply(1.0 - BETA1, g, out=s1)
+        m += s1
         v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        np.multiply(1.0 - BETA2, g, out=s1)
+        s1 *= g
+        v += s1
+        np.divide(m, bc1, out=s1)
+        np.multiply(self.lr, s1, out=s1)
+        np.divide(v, bc2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += EPS
+        s1 /= s2
+        p -= s1
+
+
+def _scaled_step(p, g, acc, lr, s1, s2):
+    # p -= lr * g / (sqrt(acc) + EPS), shared by Adagrad and RMSprop
+    np.multiply(lr, g, out=s1)
+    np.sqrt(acc, out=s2)
+    s2 += EPS
+    s1 /= s2
+    p -= s1
 
 
 _CLASSES = {"sgd": SGD, "adagrad": Adagrad, "rmsprop": RMSprop, "adam": Adam}

@@ -1,10 +1,17 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import milvid
 from milvid import checkpoint
 from milvid.checkpoint import (
     deserialize_model,
@@ -269,6 +276,84 @@ def test_failed_write_keeps_the_old_file_and_no_temp(tmp_path, monkeypatch, fail
             save_train_checkpoint(target, model, optimizer, {"epoch": 2, "iteration": 4, "seed": 3})
     assert target.read_bytes() == before
     assert list(tmp_path.iterdir()) == [target]
+
+
+# Writes a 3.6 MB Adam checkpoint to argv[2] and prints "ready". Then, with
+# argv[3] = N >= 0, saves once to argv[1] and SIGKILLs itself after the first N
+# bytes reach the file; with N < 0, rewrites argv[1] in a loop until killed.
+_KILLED_SAVE = """
+import os, signal, sys
+import numpy as np
+from milvid import checkpoint
+from milvid.optimizers import OptimizerConfig, make_optimizer
+from milvid.scorer import init_glorot_normal
+
+target, expected, kill_at = sys.argv[1], sys.argv[2], int(sys.argv[3])
+model = init_glorot_normal((256, 512, 32, 1), seed=0)
+optimizer = make_optimizer(OptimizerConfig(kind="adam"))
+optimizer.step(model.theta, np.ones_like(model.theta))
+state = (model, optimizer, {"epoch": 1, "iteration": 1, "seed": 0})
+checkpoint.save_train_checkpoint(expected, *state)
+print("ready", flush=True)
+
+class DiesMidWrite:
+    def __init__(self, path, mode):
+        self.fh = open(path, mode)
+    def __enter__(self):
+        return self
+    def __exit__(self, *exc):
+        self.fh.close()
+    def write(self, data):
+        self.fh.write(data[:kill_at])
+        self.fh.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+if kill_at >= 0:
+    checkpoint.open = DiesMidWrite
+while True:
+    checkpoint.save_train_checkpoint(target, *state)
+"""
+
+
+def test_kill_during_a_checkpoint_write_leaves_the_old_or_the_new_file(tmp_path):
+    target, expected = tmp_path / "ckpt.mvck", tmp_path / "new.mvck"
+    model = init_glorot_normal((256, 512, 32, 1), seed=1)
+    save_train_checkpoint(target, model, make_optimizer(OptimizerConfig(kind="adam")),
+                          {"epoch": 0, "iteration": 0, "seed": 0})
+    old = target.read_bytes()
+    env = {**os.environ, "PYTHONPATH": str(Path(milvid.__file__).parents[1])}
+    # kills at byte offsets into the write (the last one past its end), then
+    # kills of a writer in a loop after a delay
+    kills = [(offset, 0.0) for offset in (0, 4096, 1 << 20, 1 << 30)]
+    kills += [(-1, delay) for delay in (0.01, 0.1, 0.5)]
+    outcomes = []
+    for kill_at, delay in kills:
+        target.write_bytes(old)
+        child = subprocess.Popen(
+            [sys.executable, "-c", _KILLED_SAVE, str(target), str(expected), str(kill_at)],
+            env=env, stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            assert child.stdout.readline() == "ready\n"
+            time.sleep(delay)
+            if kill_at < 0:
+                os.kill(child.pid, signal.SIGKILL)
+            assert child.wait(timeout=30) == -signal.SIGKILL
+        finally:
+            child.kill()
+            child.wait(timeout=30)
+            child.stdout.close()
+        data = target.read_bytes()
+        assert data in (old, expected.read_bytes()), f"kill {kill_at, delay} left a mixed file"
+        outcomes.append(data != old)
+        load_train_checkpoint(target)
+        # only the killed writer's temp file may be left beside the target
+        leftovers = set(tmp_path.iterdir()) - {target, expected}
+        assert {p.name for p in leftovers} <= {f".{target.name}.{child.pid}.tmp"}
+        for p in leftovers:
+            p.unlink()
+    assert outcomes[:4] == [False] * 4, "a kill before the replace changed the target"
+    assert any(outcomes[4:]), "no kill came after a complete write"
 
 
 headers = st.one_of(

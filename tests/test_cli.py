@@ -547,3 +547,35 @@ def test_any_numeric_flag_value_exits_zero_one_or_two(cli_inputs, data):
         code, err = main_in_process(argv)
     assert code in (0, 1, 2), (argv, err)
     assert "Traceback" not in err
+
+
+def train_argv_with_config(cli_inputs, tmp_path, values: dict) -> list[str]:
+    data, _ = cli_inputs
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps(values))
+    return ["train", "--manifest", str(data / "manifest.jsonl"), "--batch-bags", "4",
+            "--out", str(tmp_path / "model.mvck"), "--config", str(cfg)]
+
+
+def test_non_integer_hidden_flag_exits_one_naming_it(cli_inputs, tmp_path):
+    argv = [*valid_argv("train", cli_inputs, tmp_path), "--hidden", "abc"]
+    code, err = main_in_process(argv)
+    assert code == 1
+    assert "--hidden" in err and "'abc'" in err and "Traceback" not in err
+    assert not (tmp_path / "model.mvck").exists()
+
+
+def test_config_hidden_of_the_wrong_json_type_exits_one_naming_it(cli_inputs, tmp_path):
+    argv = train_argv_with_config(cli_inputs, tmp_path, {"epochs": 1, "hidden": 16})
+    code, err = main_in_process(argv)
+    assert code == 1
+    assert err.startswith("milvid: error: ") and "--hidden" in err and "16" in err
+    assert not (tmp_path / "model.mvck").exists()
+
+
+def test_config_fractional_epochs_exits_one_naming_it(cli_inputs, tmp_path):
+    argv = train_argv_with_config(cli_inputs, tmp_path, {"epochs": 1.5, "hidden": "4"})
+    code, err = main_in_process(argv)
+    assert code == 1
+    assert err.startswith("milvid: error: ") and "--epochs" in err and "1.5" in err
+    assert not (tmp_path / "model.mvck").exists()

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from milvid.errors import ConfigError, TrainingAbort
-from milvid.optimizers import EPS, KINDS, OptimizerConfig, make_optimizer
+from milvid.optimizers import (
+    _BLOCK, BETA1, BETA2, EPS, KINDS, RHO, OptimizerConfig, make_optimizer,
+)
 
 
 def single(value):
@@ -131,3 +133,77 @@ def test_config_validation():
         with pytest.raises(ConfigError, match="lr"):
             OptimizerConfig(kind="sgd", lr=lr)
 
+
+def whole_vector_step(kind, lr, t, p, g, slots):
+    """The update rules as plain whole-vector expressions: the reference for the blocked step."""
+    if kind == "sgd":
+        p -= lr * g
+    elif kind == "adagrad":
+        slots["sq_sum"] += g * g
+        p -= lr * g / (np.sqrt(slots["sq_sum"]) + EPS)
+    elif kind == "rmsprop":
+        v = slots["sq_avg"]
+        v *= RHO
+        v += (1.0 - RHO) * g * g
+        p -= lr * g / (np.sqrt(v) + EPS)
+    else:
+        bc1 = 1.0 - BETA1**t
+        bc2 = 1.0 - BETA2**t
+        m, v = slots["m"], slots["v"]
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 1000, 2 * _BLOCK + 123])
+@pytest.mark.parametrize("kind", KINDS)
+def test_blocked_step_gives_the_bits_of_the_whole_vector_rules(kind, size):
+    rng = np.random.default_rng([size, KINDS.index(kind)])
+    opt = make_optimizer(OptimizerConfig(kind=kind))
+    theta = rng.normal(size=size)
+    ref_theta = theta.copy()
+    ref_slots = {name: np.zeros(size) for name in opt.slot_names}
+    for t in range(1, 26):
+        # magnitudes from 1e-6 to 1e3, with exact zeros, so rounding differences would show
+        g = rng.normal(size=size) * 10.0 ** rng.integers(-6, 4, size=size)
+        g[rng.random(size) < 0.1] = 0.0
+        opt.step(theta, g)
+        whole_vector_step(kind, opt.lr, t, ref_theta, g, ref_slots)
+        assert opt.t == t
+        assert same_bits(theta, ref_theta)
+        assert all(same_bits(opt.slots[name], ref_slots[name]) for name in opt.slot_names)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_nonfinite_gradient_in_the_last_block_writes_nothing(kind, rng):
+    size = 2 * _BLOCK + 7
+    opt = make_optimizer(OptimizerConfig(kind=kind))
+    theta = rng.normal(size=size)
+    for _ in range(3):
+        opt.step(theta, rng.normal(size=size))
+    before = theta.copy(), {name: s.copy() for name, s in opt.slots.items()}, opt.t
+    g = rng.normal(size=size)
+    g[-1] = np.nan
+    with pytest.raises(TrainingAbort, match="non-finite"):
+        opt.step(theta, g)
+    assert same_bits(theta, before[0])
+    assert opt.slots.keys() == before[1].keys()
+    assert all(same_bits(opt.slots[name], s) for name, s in before[1].items())
+    assert opt.t == before[2]
+
+
+def test_step_rejects_vectors_unlike_the_first():
+    # a longer slot would otherwise be updated only over its first len(theta) entries
+    opt = make_optimizer(OptimizerConfig(kind="adam"))
+    opt.step(np.zeros(10), np.ones(10))
+    with pytest.raises(ConfigError, match="slot 'm'"):
+        opt.step(np.zeros(5), np.ones(5))
+    with pytest.raises(ConfigError, match="flat"):
+        opt.step(np.zeros((2, 5)), np.ones((2, 5)))
+    assert opt.t == 1
