@@ -9,7 +9,6 @@ bag level.
 from .bag_model import (
     Bag,
     Dataset,
-    Instance,
     assemble_bag,
     infer_bag_label,
     load_dataset,
@@ -82,7 +81,6 @@ __all__ = [
     "FormatError",
     "ForwardTrace",
     "Gradients",
-    "Instance",
     "ManifestEntry",
     "MilvidError",
     "OptimizerConfig",

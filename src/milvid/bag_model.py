@@ -1,9 +1,10 @@
 """Bags of labeled instances and temporal segment pooling.
 
-An instance is one clip's feature vector; a bag is one video's ordered
-instances plus a single bag-level label. A bag is negative exactly when all
-of its instances are negative, so bag labels follow the existential rule
-implemented by :func:`infer_bag_label`.
+An instance is one clip's feature vector: a 1-d float64 array. A bag is one
+video's instances in temporal order, so an instance's position in the bag
+is its temporal index, plus a single bag-level label. A bag is negative
+exactly when all of its instances are negative, so bag labels follow the
+existential rule implemented by :func:`infer_bag_label`.
 """
 
 from __future__ import annotations
@@ -18,16 +19,10 @@ from .feature_store import FeatureMatrix, read_features, read_manifest
 
 
 @dataclass(frozen=True)
-class Instance:
-    features: np.ndarray  # 1-d float64
-    temporal_index: int
-
-
-@dataclass(frozen=True)
 class Bag:
     bag_id: str
     label: int
-    instances: tuple[Instance, ...]
+    instances: tuple[np.ndarray, ...]  # 1-d float64 rows, temporal order
     _matrix_cache: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -35,23 +30,18 @@ class Bag:
             raise ValidationError(f"bag label must be +1 or -1, got {self.label!r}")
         if len(self.instances) < 1:
             raise ValidationError(f"bag {self.bag_id!r} has no instances")
-        order = [inst.temporal_index for inst in self.instances]
-        if order != sorted(order) or len(set(order)) != len(order):
-            raise ValidationError(f"bag {self.bag_id!r}: temporal indices must be unique ascending")
 
     def __len__(self) -> int:
         return len(self.instances)
 
     @property
     def dim(self) -> int:
-        return self.instances[0].features.shape[0]
+        return self.instances[0].shape[0]
 
     def feature_matrix(self) -> np.ndarray:
-        """All instance features stacked row-wise, float64, temporal order."""
+        """All instances stacked row-wise, float64, temporal order."""
         if not self._matrix_cache:
-            self._matrix_cache.append(
-                np.stack([inst.features for inst in self.instances], dtype=np.float64)
-            )
+            self._matrix_cache.append(np.stack(self.instances, dtype=np.float64))
         return self._matrix_cache[0]
 
 
@@ -79,12 +69,7 @@ class Dataset:
 
 def assemble_bag(m: FeatureMatrix, label: int, bag_id: str) -> Bag:
     """Turn a feature matrix into a bag, one instance per row."""
-    if m.count < 1:
-        raise ValidationError(f"cannot assemble bag {bag_id!r} from an empty feature matrix")
-    instances = tuple(
-        Instance(features=m.values[i].astype(np.float64), temporal_index=i)
-        for i in range(m.count)
-    )
+    instances = tuple(m.values[i].astype(np.float64) for i in range(m.count))
     return Bag(bag_id=bag_id, label=label, instances=instances)
 
 
@@ -93,22 +78,24 @@ def pool_segments(bag: Bag, num_segments: int) -> Bag:
 
     Segment ``j`` averages the source rows with indices in
     ``[floor(j*n/S), floor((j+1)*n/S))``; when that range is empty (n < S)
-    it copies row ``min(floor(j*n/S), n-1)``. Label and bag id carry over.
+    it copies row ``floor(j*n/S)``. Label and bag id carry over.
     """
     if num_segments < 1:
         raise ValidationError("segment count must be >= 1")
     n = len(bag)
     rows = bag.feature_matrix()
-    pooled = np.empty((num_segments, rows.shape[1]), dtype=np.float64)
-    for j in range(num_segments):
-        lo = (j * n) // num_segments
-        hi = ((j + 1) * n) // num_segments
-        if hi > lo:
-            pooled[j] = rows[lo:hi].mean(axis=0)
-        else:
-            pooled[j] = rows[min(lo, n - 1)]
-    instances = tuple(Instance(features=pooled[j], temporal_index=j) for j in range(num_segments))
-    return Bag(bag_id=bag.bag_id, label=bag.label, instances=instances)
+    j = np.arange(num_segments)
+    lo = j * n // num_segments
+    hi = np.maximum((j + 1) * n // num_segments, lo + 1)
+    # row by row, in row order, as ``.mean(axis=0)`` adds them
+    pooled = rows[lo]
+    for t in range(1, int((hi - lo).max())):
+        more = lo + t < hi
+        pooled[more] += rows[lo[more] + t]
+    pooled /= (hi - lo)[:, None]
+    # the pooled array is the new bag's matrix: its instances are views of it
+    return Bag(bag_id=bag.bag_id, label=bag.label, instances=tuple(pooled),
+               _matrix_cache=[pooled])
 
 
 def infer_bag_label(instance_labels: list[int]) -> int:

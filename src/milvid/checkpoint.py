@@ -21,6 +21,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import struct
 import zlib
 from pathlib import Path
@@ -141,6 +142,7 @@ def _write_atomic(path: str | Path, data: bytes) -> None:
 
     The bytes go to a temp file in the same directory, are fsynced, and then
     replace ``path``; a kill or error at any point leaves the old file intact.
+    A killed writer's temp file is removed by the next successful write.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -153,6 +155,25 @@ def _write_atomic(path: str | Path, data: bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    _remove_dead_writers_temps(path)
+
+
+def _remove_dead_writers_temps(path: Path) -> None:
+    """Unlink ``path``'s ``.NAME.PID.tmp`` siblings whose writer PID is not running."""
+    if os.name != "posix":  # os.kill(pid, 0) probes a process only on POSIX
+        return
+    stale = re.compile(rf"\.{re.escape(path.name)}\.([0-9]+)\.tmp")
+    for sibling in path.parent.iterdir():
+        match = stale.fullmatch(sibling.name)
+        if match is None:
+            continue
+        try:
+            os.kill(int(match.group(1)), 0)
+        except ProcessLookupError:  # the writer is gone
+            with contextlib.suppress(OSError):
+                sibling.unlink()
+        except (OSError, OverflowError):  # PermissionError: alive, another user's
+            pass
 
 
 def save_model(model: ScoringModel, path: str | Path) -> None:

@@ -56,9 +56,10 @@ def _find_config_flag(argv: list[str]) -> str | None:
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    text = Path(path).read_text()
     try:
-        values = json.loads(text)
+        values = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config file is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: config file is not valid JSON: {exc}") from None
     if not isinstance(values, dict):

@@ -163,7 +163,9 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
                 if not line.strip():
                     continue
                 record = json.loads(line)
-                label = int(record["label"])
+                label = record["label"]
+                if type(label) is not int:  # not a float, bool or string read as ±1
+                    raise ValueError(f"label must be a JSON integer, got {label!r}")
                 entries.append(ManifestEntry(record["bag_id"], label, record["path"], record["split"]))
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: manifest is not UTF-8 text: {exc}") from None

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from milvid.bag_model import Bag, Instance
+from milvid.bag_model import Bag
 from milvid.scorer import ScorerConfig, ScoringModel
 
 
@@ -66,8 +66,7 @@ def make_bag(rows, label, bag_id="bag"):
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim == 1:
         rows = rows[:, None]
-    instances = tuple(Instance(rows[i], i) for i in range(rows.shape[0]))
-    return Bag(bag_id=bag_id, label=label, instances=instances)
+    return Bag(bag_id=bag_id, label=label, instances=tuple(rows))
 
 
 def random_bags(rng, n_bags, n_instances, dim):

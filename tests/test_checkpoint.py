@@ -278,6 +278,17 @@ def test_failed_write_keeps_the_old_file_and_no_temp(tmp_path, monkeypatch, fail
     assert list(tmp_path.iterdir()) == [target]
 
 
+def test_a_save_keeps_temp_files_of_running_writers_and_other_names(tmp_path):
+    target = tmp_path / "best.mvck"
+    # the parent process is running; the other names are not a writer's temp file
+    kept = [f".best.mvck.{os.getppid()}.tmp", ".best.mvck.x1.tmp", ".other.mvck.1.tmp",
+            "best.mvck.1.tmp", f".best.mvck.{10**30}.tmp"]
+    for name in kept:
+        (tmp_path / name).write_bytes(b"partial")
+    save_model(init_glorot_normal((4, 3, 1), seed=0), target)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*kept, "best.mvck"])
+
+
 # Writes a 3.6 MB Adam checkpoint to argv[2] and prints "ready". Then, with
 # argv[3] = N >= 0, saves once to argv[1] and SIGKILLs itself after the first N
 # bytes reach the file; with N < 0, rewrites argv[1] in a loop until killed.
@@ -317,9 +328,9 @@ while True:
 
 def test_kill_during_a_checkpoint_write_leaves_the_old_or_the_new_file(tmp_path):
     target, expected = tmp_path / "ckpt.mvck", tmp_path / "new.mvck"
-    model = init_glorot_normal((256, 512, 32, 1), seed=1)
-    save_train_checkpoint(target, model, make_optimizer(OptimizerConfig(kind="adam")),
-                          {"epoch": 0, "iteration": 0, "seed": 0})
+    state = (init_glorot_normal((256, 512, 32, 1), seed=1),
+             make_optimizer(OptimizerConfig(kind="adam")), {"epoch": 0, "iteration": 0, "seed": 0})
+    save_train_checkpoint(target, *state)
     old = target.read_bytes()
     env = {**os.environ, "PYTHONPATH": str(Path(milvid.__file__).parents[1])}
     # kills at byte offsets into the write (the last one past its end), then
@@ -350,8 +361,10 @@ def test_kill_during_a_checkpoint_write_leaves_the_old_or_the_new_file(tmp_path)
         # only the killed writer's temp file may be left beside the target
         leftovers = set(tmp_path.iterdir()) - {target, expected}
         assert {p.name for p in leftovers} <= {f".{target.name}.{child.pid}.tmp"}
-        for p in leftovers:
-            p.unlink()
+        assert leftovers or kill_at < 0, "a kill inside the write left no temp file"
+        # and the next save of the target removes it
+        save_train_checkpoint(target, *state)
+        assert set(tmp_path.iterdir()) == {target, expected}
     assert outcomes[:4] == [False] * 4, "a kill before the replace changed the target"
     assert any(outcomes[4:]), "no kill came after a complete write"
 

@@ -240,6 +240,15 @@ def test_config_bad_json_exits_one(tmp_path, capsys):
     assert "JSON" in err
 
 
+def test_config_not_utf8_exits_one_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "utf16.json"
+    cfg.write_bytes(b'\xff\xfe{"epochs": 1}')
+    code, _, err = run_cli(capsys, "gen", "--out", str(tmp_path / "x"), "--config", str(cfg))
+    assert code == 1
+    assert err.startswith("milvid: error:") and "utf16.json" in err and "UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_config_missing_file_exits_two(tmp_path, capsys):
     code, _, _ = run_cli(
         capsys, "gen", "--out", str(tmp_path / "x"), "--config", str(tmp_path / "none.json")
@@ -420,6 +429,7 @@ def test_corrupt_model_header_exits_two(workspace, capsys):
     [
         b'{"bag_id": "a", "label": "x", "path": "a.mil1", "split": "test"}\n',
         b'{"bag_id": "\xff", "label": 1, "path": "a.mil1", "split": "test"}\n',
+        b'{"bag_id": "a", "label": "1", "path": "a.mil1", "split": "test"}\n',
     ],
 )
 def test_bad_manifest_exits_two(workspace, capsys, line):

@@ -208,10 +208,25 @@ def test_bad_synth_setting_is_rejected_by_name(field, value):
         SynthConfig(dim=4, n_pos_bags=1, n_neg_bags=1, instances_per_bag=4, **{field: value})
 
 
-def test_manifest_non_integer_label_is_format_error(tmp_path):
+# a label that is not a JSON integer is refused, not truncated or parsed to ±1
+@pytest.mark.parametrize(
+    "label", ['"x"', "1.9", "-1.5", "1.0", "true", '"1"'],
+    ids=["string", "fraction", "negative-fraction", "float-one", "bool", "string-one"],
+)
+def test_manifest_non_integer_label_is_format_error(tmp_path, label):
     path = tmp_path / "m.jsonl"
-    path.write_text('{"bag_id": "a", "label": "x", "path": "a.mil1", "split": "train"}\n')
-    with pytest.raises(FormatError, match="line 1"):
+    path.write_text(
+        '{"bag_id": "a", "label": 1, "path": "a.mil1", "split": "train"}\n'
+        f'{{"bag_id": "b", "label": {label}, "path": "b.mil1", "split": "train"}}\n'
+    )
+    with pytest.raises(FormatError, match="line 2"):
+        read_manifest(path)
+
+
+def test_manifest_integer_label_other_than_one_is_validation_error(tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_text('{"bag_id": "a", "label": 2, "path": "a.mil1", "split": "train"}\n')
+    with pytest.raises(ValidationError, match="label"):
         read_manifest(path)
 
 
