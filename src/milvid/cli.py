@@ -43,19 +43,7 @@ def _default_manifest() -> str | None:
     return str(Path(base) / "manifest.jsonl") if base else None
 
 
-def _find_config_flag(argv: list[str]) -> str | None:
-    path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
-    return path
-
-
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _load_config(path: str) -> dict:
     try:
         values = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
@@ -348,10 +336,11 @@ def main(argv: list[str] | None = None) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
     parser, subparsers = build_parser()
     try:
-        config_values = _load_config(_find_config_flag(raw))
-        if config_values:
-            _apply_config(subparsers, config_values)
+        # argparse resolves the flag, so an abbreviation such as --conf counts too
         args = parser.parse_args(raw)
+        if args.config is not None:
+            _apply_config(subparsers, _load_config(args.config))
+            args = parser.parse_args(raw)
         return args.func(args)
     except (ConfigError, ValidationError, TrainingAbort) as exc:
         print(f"milvid: error: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ P(pos score > neg score) + 0.5 * P(equal).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -136,19 +136,8 @@ class EvalReport:
             "schema_version": 1,
             "num_bags": self.num_bags,
             "threshold": self.threshold,
-            "counts": {
-                "tp": self.counts.tp,
-                "fp": self.counts.fp,
-                "tn": self.counts.tn,
-                "fn": self.counts.fn,
-            },
-            "rates": {
-                "tpr": self.rates.tpr,
-                "fpr": self.rates.fpr,
-                "tnr": self.rates.tnr,
-                "fnr": self.rates.fnr,
-                "accuracy": self.rates.accuracy,
-            },
+            "counts": asdict(self.counts),
+            "rates": asdict(self.rates),
             "auc": self.roc.auc,
             "roc_points": [[f, t, th] for f, t, th in self.roc.points],
         }

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,31 +72,33 @@ def write_features(m: FeatureMatrix, dest: str | Path) -> None:
 def read_features(src: str | Path) -> FeatureMatrix:
     """Read a MIL1 feature file, falling back to CSV for text files."""
     with open(src, "rb") as fh:
-        data = fh.read()
-    if data[:4] == MAGIC:
-        return _parse_binary(data, src)
-    return _parse_csv(data, src)
+        header = fh.read(_HEADER.size)
+        if header[:4] != MAGIC:
+            return _parse_csv(header + fh.read(), src)
+        if len(header) < _HEADER.size:
+            raise CorruptionError(f"{src}: truncated header, expected at least "
+                                  f"{_HEADER.size} bytes, got {len(header)}")
+        _, dim, count = _HEADER.unpack(header)
+        if dim < 1:
+            raise FormatError(f"{src}: header declares dim={dim}, must be >= 1")
+        expected = count * dim * 4
+        actual = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if actual == expected:  # a huge header fails here, before any allocation
+            values = np.empty((count, dim), dtype="<f4")
+            actual = fh.readinto(values)
+        if actual != expected:
+            raise CorruptionError(
+                f"{src}: payload size mismatch, expected {expected} bytes for "
+                f"{count}x{dim} float32 values, got {actual}"
+            )
+    return _checked(values, src, "feature file")
 
 
-def _parse_binary(data: bytes, src: str | Path) -> FeatureMatrix:
-    if len(data) < _HEADER.size:
-        raise CorruptionError(
-            f"{src}: truncated header, expected at least {_HEADER.size} bytes, got {len(data)}"
-        )
-    _, dim, count = _HEADER.unpack_from(data)
-    if dim < 1:
-        raise FormatError(f"{src}: header declares dim={dim}, must be >= 1")
-    expected = count * dim * 4
-    actual = len(data) - _HEADER.size
-    if actual != expected:
-        raise CorruptionError(
-            f"{src}: payload size mismatch, expected {expected} bytes for "
-            f"{count}x{dim} float32 values, got {actual}"
-        )
-    values = np.frombuffer(data, dtype="<f4", offset=_HEADER.size).reshape(count, dim)
-    if not np.all(np.isfinite(values)):
-        raise ValidationError(f"{src}: feature file contains non-finite values")
-    return FeatureMatrix(values.copy())
+def _checked(values: np.ndarray, src: str | Path, kind: str) -> FeatureMatrix:
+    try:
+        return FeatureMatrix(values)
+    except ValidationError:  # the only check a parsed 2-d, dim >= 1 array can fail
+        raise ValidationError(f"{src}: {kind} contains non-finite values") from None
 
 
 def _parse_csv(data: bytes, src: str | Path) -> FeatureMatrix:
@@ -124,10 +127,7 @@ def _parse_csv(data: bytes, src: str | Path) -> FeatureMatrix:
         rows.append(row)
     if not rows:
         raise FormatError(f"{src}: bad magic {magic!r} and no CSV rows found")
-    values = np.asarray(rows, dtype=np.float32)
-    if not np.all(np.isfinite(values)):
-        raise ValidationError(f"{src}: CSV feature file contains non-finite values")
-    return FeatureMatrix(values)
+    return _checked(np.asarray(rows, dtype=np.float32), src, "CSV feature file")
 
 
 @dataclass(frozen=True)

@@ -246,20 +246,6 @@ def forward_batch(
     return act[:, 0], ForwardTrace(layer_inputs, pre_activations, mask)
 
 
-def score(
-    model: ScoringModel,
-    x: np.ndarray,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, ForwardTrace]:
-    """Score one feature vector; returns (score, trace)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError(f"expected a 1-d feature vector, got shape {x.shape}")
-    scores, trace = forward_batch(model, x[None, :], train=train, rng=rng)
-    return float(scores[0]), trace
-
-
 class Gradients(FlatParams):
     """Gradients in the model's layout (``vector``, ``weights``, ``biases``),
     plus the gradient with respect to the input rows."""

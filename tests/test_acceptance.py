@@ -22,7 +22,7 @@ from milvid.feature_store import (
     synthesize_dataset,
     write_features,
 )
-from milvid.objective import bag_score, objective, objective_gradient
+from milvid.objective import bag_score, objective_gradient
 from milvid.optimizers import OptimizerConfig, make_optimizer
 from milvid.scorer import init_glorot_normal
 from milvid.trainer import TrainConfig, compare_optimizers, train
@@ -44,7 +44,7 @@ def test_gradient_correctness():
         lam = 0.01
         _, _, grads = objective_gradient(model, bags, lam)
         numeric = numerical_gradient(
-            lambda: objective(model, bags, lam)[0], model.param_list(), eps=1e-5
+            lambda: objective_gradient(model, bags, lam)[0], model.param_list(), eps=1e-5
         )
         worst = max_rel_err(grads.param_list(), numeric)
         assert worst < 1e-4, f"{output_activation}: worst relative error {worst}"
@@ -58,7 +58,7 @@ def test_argmax_routing():
     model = init_glorot_normal((6, 4, 1), seed=3)
     bags = random_bags(rng, 2, 5, 6)
     bag = bags[0]
-    _, losses = objective(model, bags, lam=0.0)
+    _, losses = objective_gradient(model, bags, lam=0.0)[:2]
     loss = losses[0]
     assert loss.hinge > 0.0  # violated margin
 
@@ -77,7 +77,7 @@ def test_argmax_routing():
     def value(sign):
         shifted = rows.copy()
         shifted[victim] += sign * eps * direction
-        return objective(model, [make_bag(shifted, bag.label), bags[1]], lam=0.0)[0]
+        return objective_gradient(model, [make_bag(shifted, bag.label), bags[1]], lam=0.0)[0]
 
     derivative = (value(+1) - value(-1)) / (2 * eps)
     assert abs(derivative) <= 1e-8, f"directional derivative {derivative}"

@@ -232,6 +232,22 @@ def test_flags_override_config_file(tmp_path, capsys):
     assert read_features(out / entries[0].path).dim == 6  # explicit flag wins
 
 
+def test_config_flag_spellings_give_the_same_files(tmp_path, capsys):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"dim": 5, "pos": 2, "neg": 2, "instances": 3}))
+    spellings = {"abbrev": ["--conf", str(cfg)], "equals": [f"--config={cfg}"],
+                 "full": ["--config", str(cfg)]}
+    for name, flag in spellings.items():
+        code, _, _ = run_cli(capsys, "gen", "--out", str(tmp_path / name), *flag)
+        assert code == 0
+    files = {name: {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+             for name in spellings}
+    assert files["abbrev"] == files["equals"] == files["full"]
+    assert len(files["full"]) == 5  # the config's 4 bags and the manifest
+    assert all(len(data) == 12 + 3 * 5 * 4 for name, data in files["full"].items()
+               if name.endswith(".mil1"))
+
+
 def test_config_bad_json_exits_one(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{nope")

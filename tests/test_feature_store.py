@@ -1,12 +1,14 @@
 import json
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from milvid import feature_store
 from milvid.errors import ConfigError, CorruptionError, FormatError, MilvidError, ValidationError
 from milvid.feature_store import (
     FeatureMatrix,
@@ -87,6 +89,35 @@ def test_nonfinite_payload_rejected_on_read(tmp_path):
     payload = np.array([[1.0, np.nan]], dtype="<f4").tobytes()
     path.write_bytes(struct.pack("<4sII", b"MIL1", 2, 1) + payload)
     with pytest.raises(ValidationError):
+        read_features(path)
+
+
+def test_nonfinite_read_names_the_file(tmp_path):
+    binary, text = tmp_path / "f.mil1", tmp_path / "f.csv"
+    payload = np.array([[1.0, np.inf]], dtype="<f4").tobytes()
+    binary.write_bytes(struct.pack("<4sII", b"MIL1", 2, 1) + payload)
+    text.write_text("1.0,2.0\n3.0,nan\n")
+    with pytest.raises(ValidationError, match="f.mil1: feature file contains non-finite values"):
+        read_features(binary)
+    with pytest.raises(ValidationError, match="f.csv: CSV feature file contains non-finite values"):
+        read_features(text)
+
+
+def test_huge_header_is_corruption(tmp_path):
+    path = tmp_path / "f.mil1"
+    path.write_bytes(struct.pack("<4sII", b"MIL1", 2**32 - 1, 2**32 - 1) + b"\0" * 8)
+    with pytest.raises(CorruptionError, match=f"expected {(2**32 - 1) ** 2 * 4} bytes .* got 8"):
+        read_features(path)
+
+
+def test_short_read_is_corruption(tmp_path, rng, monkeypatch):
+    # the file shrinks between the size check and the read
+    path = tmp_path / "f.mil1"
+    write_features(_random_matrix(rng, 4, 3), path)
+    path.write_bytes(path.read_bytes()[:-5])
+    full_size = SimpleNamespace(st_size=12 + 48)
+    monkeypatch.setattr(feature_store, "os", SimpleNamespace(fstat=lambda fd: full_size))
+    with pytest.raises(CorruptionError, match="expected 48 bytes .* got 43"):
         read_features(path)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from milvid.errors import ConfigError, ValidationError
-from milvid.objective import BagLoss, bag_maxima, bag_score, objective, objective_gradient
+from milvid.objective import BagLoss, bag_maxima, bag_score, objective_gradient
 from milvid.scorer import Gradients, backward, forward_batch, init_glorot_normal
 
 from conftest import chain_model, make_bag, max_rel_err, numerical_gradient, random_bags, value_scorer
@@ -23,13 +23,13 @@ def test_bag_score_singleton():
 
 
 def test_objective_zero_when_margin_satisfied():
-    value, losses = objective(value_scorer(), [make_bag([1.5], 1)], lam=0.0)
+    value, losses = objective_gradient(value_scorer(), [make_bag([1.5], 1)], lam=0.0)[:2]
     assert value == 0.0
     assert losses[0].hinge == 0.0 and losses[0].margin == 1.5
 
 
 def test_objective_negative_bag_arithmetic():
-    value, losses = objective(value_scorer(), [make_bag([0.3], -1)], lam=0.0)
+    value, losses = objective_gradient(value_scorer(), [make_bag([0.3], -1)], lam=0.0)[:2]
     assert value == pytest.approx(1.3, abs=1e-15)
     assert losses[0].hinge == pytest.approx(1.3, abs=1e-15)
 
@@ -38,16 +38,16 @@ def test_objective_mixes_hinge_mean_and_l2():
     # two-layer 0.1/0.1 chain: score = 0.01 * x, sum of squared weights = 0.02
     model = chain_model([np.array([[0.1]]), np.array([[0.1]])])
     bags = [make_bag([150.0], 1), make_bag([30.0], -1)]  # hinges 0 and 1.3
-    value, losses = objective(model, bags, lam=1.0)
+    value, losses = objective_gradient(model, bags, lam=1.0)[:2]
     assert [l.hinge for l in losses] == pytest.approx([0.0, 1.3])
     assert value == pytest.approx(1.3 / 2 + 0.5 * 0.02, abs=1e-12)
 
 
 def test_objective_rejects_negative_lam_and_empty_bags():
     with pytest.raises(ConfigError):
-        objective(value_scorer(), [make_bag([0.0], 1)], lam=-0.1)
+        objective_gradient(value_scorer(), [make_bag([0.0], 1)], lam=-0.1)
     with pytest.raises(ValidationError):
-        objective(value_scorer(), [], lam=0.0)
+        objective_gradient(value_scorer(), [], lam=0.0)
 
 
 def test_gradient_zero_when_all_margins_satisfied():
@@ -64,14 +64,15 @@ def test_objective_gradient_matches_finite_differences(rng, output_activation):
     bags = random_bags(rng, 4, 5, 8)
     lam = 0.01
     _, _, grads = objective_gradient(model, bags, lam)
-    numeric = numerical_gradient(lambda: objective(model, bags, lam)[0], model.param_list())
+    numeric = numerical_gradient(lambda: objective_gradient(model, bags, lam)[0],
+                                 model.param_list())
     assert max_rel_err(grads.param_list(), numeric) < 1e-4
 
 
 def test_non_argmax_instance_has_no_first_order_effect(rng):
     model = init_glorot_normal((6, 4, 1), seed=3)
     bags = random_bags(rng, 2, 5, 6)
-    value, losses = objective(model, bags, lam=0.0)
+    value, losses = objective_gradient(model, bags, lam=0.0)[:2]
     loss = losses[0]
     assert loss.hinge > 0.0  # margin violated, so the hinge is active
 
@@ -91,7 +92,7 @@ def test_non_argmax_instance_has_no_first_order_effect(rng):
         shifted = rows.copy()
         shifted[victim] += sign * eps * direction
         new_bags = [make_bag(shifted, bag.label, bag.bag_id), bags[1]]
-        return objective(model, new_bags, lam=0.0)[0]
+        return objective_gradient(model, new_bags, lam=0.0)[0]
 
     derivative = (perturbed(+1) - perturbed(-1)) / (2 * eps)
     assert abs(derivative) < 1e-8
@@ -101,7 +102,7 @@ def test_duplicating_argmax_changes_nothing(rng):
     model = init_glorot_normal((5, 3, 1), seed=8)
     rows = rng.normal(size=(4, 5))
     bag = make_bag(rows, 1)
-    _, [loss] = objective(model, [bag], lam=0.0)
+    _, [loss] = objective_gradient(model, [bag], lam=0.0)[:2]
     doubled = np.vstack([rows, rows[loss.argmax_index]])
     bag2 = make_bag(doubled, 1)
 
@@ -117,7 +118,7 @@ def test_objective_bounded_below_by_l2(rng):
         model = init_glorot_normal((6, 4, 1), seed=seed)
         bags = random_bags(rng, 3, 4, 6)
         lam = 0.05
-        value, losses = objective(model, bags, lam)
+        value, losses = objective_gradient(model, bags, lam)[:2]
         floor = lam * 0.5 * model.weight_sq_norm()
         assert value >= floor
         if all(l.hinge == 0.0 for l in losses):
@@ -190,12 +191,23 @@ def test_bag_maxima_breaks_ties_within_each_bag():
     assert scores.tolist() == [0.7, 0.7, 0.9]
     assert (rows - [0, 2, 3]).tolist() == [0, 0, 1]
     assert trace.layer_inputs[0].shape == (5, 1)
-    assert [l.argmax_index for l in objective(value_scorer(), bags, lam=0.0)[1]] == [0, 0, 1]
+    _, losses, _ = objective_gradient(value_scorer(), bags, lam=0.0)
+    assert [l.argmax_index for l in losses] == [0, 0, 1]
 
 
 def test_bag_maxima_takes_a_nan_like_argmax():
     bags = [make_bag([0.5], 1), make_bag([0.1, np.nan, 0.9], -1)]
     scores, rows, _ = bag_maxima(value_scorer(), bags)
     assert rows.tolist() == [0, 2] and np.isnan(scores[1])
-    _, losses = objective(value_scorer(), bags, lam=0.0)
+    _, losses = objective_gradient(value_scorer(), bags, lam=0.0)[:2]
     assert losses[1].argmax_index == 1 and losses[1].hinge == 0.0
+
+
+@pytest.mark.parametrize("train", [False, True])
+def test_bag_score_is_bag_maxima_of_one_bag(rng, train):
+    model = init_glorot_normal((6, 5, 1), seed=1, dropout_rate=0.6)
+    bag = make_bag(rng.normal(size=(4, 6)), 1)
+    rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+    scores, rows, _ = bag_maxima(model, [bag], train=train, rng=rng_b)
+    assert bag_score(model, bag, train=train, rng=rng_a) == (float(scores[0]), int(rows[0]))
+    assert rng_a.random() == rng_b.random()  # both drew the same masks

@@ -13,7 +13,6 @@ from milvid.scorer import (
     forward_batch,
     glorot_std,
     init_glorot_normal,
-    score,
 )
 
 from conftest import chain_model, max_rel_err, numerical_gradient
@@ -50,8 +49,8 @@ def test_init_is_deterministic():
 
 def test_zero_model_outputs_activation_midpoint(rng):
     x = rng.normal(size=4)
-    assert score(zero_model("sigmoid"), x)[0] == 0.5
-    assert score(zero_model("tanh"), x)[0] == 0.0
+    assert forward_batch(zero_model("sigmoid"), x[None])[0][0] == 0.5
+    assert forward_batch(zero_model("tanh"), x[None])[0][0] == 0.0
 
 
 def test_eval_mode_ignores_dropout(rng):
@@ -62,18 +61,18 @@ def test_eval_mode_ignores_dropout(rng):
         [b.copy() for b in with_drop.biases],
     )
     x = rng.normal(size=6)
-    assert score(with_drop, x)[0] == score(without, x)[0]
+    assert forward_batch(with_drop, x[None])[0][0] == forward_batch(without, x[None])[0][0]
 
 
 def test_train_mode_with_dropout_requires_rng(rng):
     model = init_glorot_normal((4, 3, 1), seed=0, dropout_rate=0.5)
     with pytest.raises(ConfigError):
-        score(model, rng.normal(size=4), train=True)
+        forward_batch(model, rng.normal(size=(1, 4)), train=True)
 
 
 def test_backward_hand_checked_linear_chain():
     model = chain_model([np.array([[2.0]]), np.array([[3.0]])])
-    s, trace = score(model, np.array([5.0]))
+    (s,), trace = forward_batch(model, np.array([[5.0]]))
     assert s == 30.0
     grads = backward(model, trace, 1.0)
     assert grads.weights[0][0, 0] == 15.0  # d(w2*w1*x)/dw1 = w2*x
@@ -85,10 +84,10 @@ def test_backward_hand_checked_linear_chain():
 def test_gradients_match_finite_differences(rng, output_activation):
     model = init_glorot_normal((8, 4, 2, 1), seed=5, output_activation=output_activation)
     x = rng.normal(size=8)
-    _, trace = score(model, x)
+    _, trace = forward_batch(model, x[None])
     grads = backward(model, trace, 1.0)
 
-    f = lambda: score(model, x)[0]
+    f = lambda: forward_batch(model, x[None])[0][0]
     numeric = numerical_gradient(f, model.param_list())
     assert max_rel_err(grads.param_list(), numeric) < 1e-4
     numeric_x = numerical_gradient(f, [x])[0]
@@ -97,7 +96,7 @@ def test_gradients_match_finite_differences(rng, output_activation):
 
 def test_zero_upstream_zeroes_all_gradients(rng):
     model = init_glorot_normal((6, 4, 1), seed=2)
-    _, trace = score(model, rng.normal(size=6))
+    _, trace = forward_batch(model, rng.normal(size=(1, 6)))
     grads = backward(model, trace, 0.0)
     for g in grads.param_list():
         assert np.all(g == 0.0)
@@ -107,7 +106,7 @@ def test_zero_upstream_zeroes_all_gradients(rng):
 def test_backward_rejects_stale_trace(rng):
     small = init_glorot_normal((4, 2, 1), seed=0)
     big = init_glorot_normal((5, 2, 1), seed=0)
-    _, trace = score(small, rng.normal(size=4))
+    _, trace = forward_batch(small, rng.normal(size=(1, 4)))
     with pytest.raises(ShapeError):
         backward(big, trace, 1.0)
 
@@ -115,7 +114,9 @@ def test_backward_rejects_stale_trace(rng):
 def test_score_rejects_wrong_dimension(rng):
     model = init_glorot_normal((4, 2, 1), seed=0)
     with pytest.raises(ShapeError):
-        score(model, rng.normal(size=5))
+        forward_batch(model, rng.normal(size=(1, 5)))
+    with pytest.raises(ShapeError):
+        forward_batch(model, rng.normal(size=4))  # one row must be passed as (1, 4)
 
 
 def test_serialize_round_trip_is_bitwise():
@@ -152,7 +153,7 @@ def test_deserialized_model_scores_identically(rng):
     restored = deserialize_model(serialize_model(model))
     for _ in range(100):
         x = rng.normal(size=16)
-        assert score(model, x)[0] == score(restored, x)[0]
+        assert forward_batch(model, x[None])[0][0] == forward_batch(restored, x[None])[0][0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -162,8 +163,8 @@ def test_output_ranges_on_standardized_inputs(seed):
     x = gen.normal(size=5)
     sig = init_glorot_normal((5, 4, 1), seed=seed, output_activation="sigmoid")
     tanh = init_glorot_normal((5, 4, 1), seed=seed, output_activation="tanh")
-    s = score(sig, x)[0]
-    t = score(tanh, x)[0]
+    s = forward_batch(sig, x[None])[0][0]
+    t = forward_batch(tanh, x[None])[0][0]
     assert 0.0 < s < 1.0
     assert -1.0 < t < 1.0
 
@@ -183,9 +184,10 @@ def test_train_mode_mean_matches_eval_on_linear_net(rng):
         model.biases,
     )
     x = rng.normal(size=8)
-    eval_score = score(model, x)[0]
+    eval_score = forward_batch(model, x[None])[0][0]
     mask_rng = np.random.default_rng(777)
-    draws = np.array([score(model, x, train=True, rng=mask_rng)[0] for _ in range(10_000)])
+    draws = np.array([forward_batch(model, x[None], train=True, rng=mask_rng)[0][0]
+                      for _ in range(10_000)])
     sem = draws.std(ddof=1) / np.sqrt(draws.size)
     assert abs(draws.mean() - eval_score) < 4.0 * sem
 
@@ -202,7 +204,7 @@ def test_forward_batch_matches_single_scores(rng):
     xs = rng.normal(size=(6, 4))
     batch_scores, _ = forward_batch(model, xs)
     for i in range(6):
-        assert batch_scores[i] == score(model, xs[i])[0]
+        assert batch_scores[i] == forward_batch(model, xs[i][None])[0][0]
 
 
 def test_weights_and_biases_are_views_into_theta_in_layout_order():
