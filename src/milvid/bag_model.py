@@ -77,22 +77,27 @@ def pool_segments(bag: Bag, num_segments: int) -> Bag:
     """Pool a bag's instances into exactly ``num_segments`` mean segments.
 
     Segment ``j`` averages the source rows with indices in
-    ``[floor(j*n/S), floor((j+1)*n/S))``; when that range is empty (n < S)
-    it copies row ``floor(j*n/S)``. Label and bag id carry over.
+    ``[floor(j*n/S), floor((j+1)*n/S))``. When S equals n, each segment is
+    one row, so the bag itself is returned, uncopied. When S exceeds n, that
+    range holds at most one row, so segment ``j`` repeats row
+    ``floor(j*n/S)`` and nothing is averaged. Label and bag id carry over.
     """
     if num_segments < 1:
         raise ValidationError("segment count must be >= 1")
     n = len(bag)
+    if n == num_segments:
+        return bag
     rows = bag.feature_matrix()
     j = np.arange(num_segments)
     lo = j * n // num_segments
-    hi = np.maximum((j + 1) * n // num_segments, lo + 1)
-    # row by row, in row order, as ``.mean(axis=0)`` adds them
     pooled = rows[lo]
-    for t in range(1, int((hi - lo).max())):
-        more = lo + t < hi
-        pooled[more] += rows[lo[more] + t]
-    pooled /= (hi - lo)[:, None]
+    if n > num_segments:
+        hi = (j + 1) * n // num_segments  # n / S > 1, so every range holds a row
+        # row by row, in row order, as ``.mean(axis=0)`` adds them
+        for t in range(1, int((hi - lo).max())):
+            more = lo + t < hi
+            pooled[more] += rows[lo[more] + t]
+        pooled /= (hi - lo)[:, None]
     # the pooled array is the new bag's matrix: its instances are views of it
     return Bag(bag_id=bag.bag_id, label=bag.label, instances=tuple(pooled),
                _matrix_cache=[pooled])

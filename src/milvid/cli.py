@@ -1,8 +1,9 @@
 """Command-line interface: gen, train, compare, score, eval, roc.
 
-Exit codes: 0 success, 1 validation or configuration error, 2 I/O or file
-format error. The MILVID_DATA_DIR environment variable supplies the default
-output directory for ``gen`` and the default manifest location
+Exit codes: 0 success, 1 validation or configuration error (a size too
+large to allocate among them), 2 I/O or file format error. The
+MILVID_DATA_DIR environment variable supplies the default output directory
+for ``gen`` and the default manifest location
 (``$MILVID_DATA_DIR/manifest.jsonl``) for the other subcommands. A JSON
 config file (``--config``) may supply flag defaults; explicit flags win
 over the config file, which wins over built-in defaults.
@@ -344,6 +345,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ConfigError, ValidationError, TrainingAbort) as exc:
         print(f"milvid: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # a size flag asked for more memory than the machine can map
+        print(f"milvid: error: out of memory: {str(exc) or 'allocation refused'}", file=sys.stderr)
         return 1
     except (FormatError, OSError) as exc:
         print(f"milvid: error: {exc}", file=sys.stderr)

@@ -105,8 +105,10 @@ def test_pool_always_yields_exactly_s_instances(n, s, seed):
 @given(n=st.integers(1, 20), seed=st.integers(0, 2**31))
 def test_pool_with_s_equal_n_is_identity(n, seed):
     rows = np.random.default_rng(seed).normal(size=(n, 3))
-    pooled = pool_segments(make_bag(rows, 1), n)
+    bag = make_bag(rows, 1)
+    pooled = pool_segments(bag, n)
     assert np.array_equal(pooled.feature_matrix(), rows)
+    assert pooled is bag  # no copy
 
 
 def test_pool_preserves_global_mean_when_divisible(rng):

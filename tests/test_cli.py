@@ -94,6 +94,14 @@ def test_eval_emits_schema_versioned_json(workspace, capsys):
     assert set(doc["rates"]) == {"tpr", "fpr", "tnr", "fnr", "accuracy"}
 
 
+def test_eval_with_segments_equal_to_the_clip_count_writes_the_same_json(workspace, capsys):
+    tmp_path, data, model = workspace  # the workspace's bags have 5 clips each
+    common = ["eval", "--model", str(model), "--manifest", str(data / "manifest.jsonl")]
+    assert run_cli(capsys, *common, "--out", str(tmp_path / "plain.json"))[0] == 0
+    assert run_cli(capsys, *common, "--segments", "5", "--out", str(tmp_path / "s5.json"))[0] == 0
+    assert (tmp_path / "s5.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
 def test_roc_writes_csv_and_prints_auc(workspace, capsys):
     tmp_path, data, model = workspace
     out_csv = tmp_path / "roc.csv"
@@ -605,3 +613,14 @@ def test_config_fractional_epochs_exits_one_naming_it(cli_inputs, tmp_path):
     assert code == 1
     assert err.startswith("milvid: error: ") and "--epochs" in err and "1.5" in err
     assert not (tmp_path / "model.mvck").exists()
+
+
+# 10**15 float64 entries are 8 PB, beyond the 2**47-byte user address space,
+# so the allocation is refused before any memory is touched.
+@pytest.mark.parametrize("command, flag", [("gen", "--dim"), ("train", "--hidden"),
+                                           ("eval", "--segments")])
+def test_a_size_too_large_to_allocate_exits_one(cli_inputs, tmp_path, command, flag):
+    code, err = main_in_process([*valid_argv(command, cli_inputs, tmp_path), flag, str(10**15)])
+    assert code == 1
+    assert err.startswith("milvid: error: out of memory") and err.count("\n") == 1
+    assert "Traceback" not in err

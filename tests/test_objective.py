@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from milvid.errors import ConfigError, ValidationError
+from milvid.evaluation import score_bags
 from milvid.objective import BagLoss, bag_maxima, bag_score, objective_gradient
 from milvid.scorer import Gradients, backward, forward_batch, init_glorot_normal
 
@@ -211,3 +212,9 @@ def test_bag_score_is_bag_maxima_of_one_bag(rng, train):
     scores, rows, _ = bag_maxima(model, [bag], train=train, rng=rng_b)
     assert bag_score(model, bag, train=train, rng=rng_a) == (float(scores[0]), int(rows[0]))
     assert rng_a.random() == rng_b.random()  # both drew the same masks
+
+
+def test_bag_maxima_of_no_bags_is_a_validation_error():
+    with pytest.raises(ValidationError, match="needs at least one bag"):
+        bag_maxima(value_scorer(), [])
+    assert score_bags(value_scorer(), []) == []
