@@ -9,6 +9,7 @@ existential rule implemented by :func:`infer_bag_label`.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -101,6 +102,13 @@ def pool_segments(bag: Bag, num_segments: int) -> Bag:
     # the pooled array is the new bag's matrix: its instances are views of it
     return Bag(bag_id=bag.bag_id, label=bag.label, instances=tuple(pooled),
                _matrix_cache=[pooled])
+
+
+def pool_bags(bags: Iterable[Bag], segments: int | None) -> list[Bag]:
+    """``bags`` as a list, each pooled to ``segments`` segments unless that is None."""
+    if segments is None:
+        return list(bags)
+    return [pool_segments(b, segments) for b in bags]
 
 
 def infer_bag_label(instance_labels: list[int]) -> int:

@@ -18,6 +18,7 @@ the same bytes. Any flipped byte fails the checksum.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -94,13 +95,7 @@ def unpack_container(data: bytes) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def _model_header(model: ScoringModel) -> dict:
-    cfg = model.config
-    return {
-        "layer_dims": list(cfg.layer_dims),
-        "hidden_activation": cfg.hidden_activation,
-        "output_activation": cfg.output_activation,
-        "dropout_rate": cfg.dropout_rate,
-    }
+    return dataclasses.asdict(model.config)
 
 
 def _model_arrays(model: ScoringModel) -> list[tuple[str, np.ndarray]]:
@@ -114,12 +109,10 @@ def _model_arrays(model: ScoringModel) -> list[tuple[str, np.ndarray]]:
 def _model_from(header: dict, arrays: dict[str, np.ndarray]) -> ScoringModel:
     with _malformed("model header"):
         m = header["model"]
-        cfg = ScorerConfig(
-            layer_dims=tuple(m["layer_dims"]),
-            hidden_activation=m["hidden_activation"],
-            output_activation=m["output_activation"],
-            dropout_rate=m["dropout_rate"],
-        )
+        missing = [f.name for f in dataclasses.fields(ScorerConfig) if f.name not in m]
+        if missing:  # a default would silently stand in for the field
+            raise KeyError(", ".join(missing))
+        cfg = ScorerConfig(**m)  # an unknown key is a TypeError
         weights = [arrays[f"w{l}"] for l in range(cfg.num_layers)]
         biases = [arrays[f"b{l}"] for l in range(cfg.num_layers)]
         return ScoringModel(cfg, weights, biases)

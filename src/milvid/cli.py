@@ -19,14 +19,14 @@ import os
 import sys
 from pathlib import Path
 
-from .bag_model import assemble_bag, load_dataset, pool_segments
+from .bag_model import assemble_bag, load_dataset, pool_bags
 from .checkpoint import load_model, save_model
 from .errors import ConfigError, FormatError, MilvidError, TrainingAbort, ValidationError
 from .evaluation import evaluate_bags, roc_auc, score_bags
 from .feature_store import SynthConfig, read_features, read_manifest, synthesize_dataset
 from .optimizers import KINDS, OptimizerConfig
 from .scorer import forward_batch
-from .trainer import TrainConfig, compare_optimizers, train
+from .trainer import CHECKPOINT_NAME, TrainConfig, compare_optimizers, train
 
 ENV_DATA_DIR = "MILVID_DATA_DIR"
 
@@ -241,14 +241,27 @@ def _load_splits(manifest_path):
     return train_set, load_dataset(manifest_path, split="test") if has_test else None
 
 
+def _check_train_outputs(out: Path, log_path: Path) -> None:
+    # train writes its checkpoints beside --out; neither output may replace one
+    for flag, path in (("--out", out), ("--log", log_path)):
+        if CHECKPOINT_NAME.fullmatch(path.name):
+            raise ConfigError(
+                f"{flag} {path}: the name {path.name!r} is reserved for the training "
+                "checkpoints that train writes beside --out"
+            )
+    if os.path.abspath(out) == os.path.abspath(log_path):
+        raise ConfigError(f"--log and --out name the same file {out}")
+
+
 def _cmd_train(args) -> int:
     manifest = _require(args.manifest, "--manifest")
     out = Path(args.out)
+    log_path = Path(args.log or f"{out}.log.csv")
+    _check_train_outputs(out, log_path)
     cfg = dataclasses.replace(_train_config(args, args.optimizer), out_dir=out.parent)
     train_set, val_set = _load_splits(manifest)
     model, log = train(train_set, cfg, val_set=val_set, resume_from=args.resume)
     save_model(model, out)
-    log_path = args.log or f"{out}.log.csv"
     log.to_csv(log_path)
     last_val = next((r.val_auc for r in reversed(log.rows) if r.val_auc is not None), None)
     print(f"model written to {out}")
@@ -299,11 +312,7 @@ def _cmd_score(args) -> int:
 
 def _eval_bags(args):
     manifest = _require(args.manifest, "--manifest")
-    dataset = load_dataset(manifest, split=args.split)
-    bags = list(dataset.bags)
-    if args.segments is not None:
-        bags = [pool_segments(b, args.segments) for b in bags]
-    return bags
+    return pool_bags(load_dataset(manifest, split=args.split).bags, args.segments)
 
 
 def _cmd_eval(args) -> int:

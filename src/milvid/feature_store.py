@@ -19,6 +19,7 @@ relative to the manifest's directory) and ``split`` ("train" or "test").
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -43,12 +44,15 @@ class FeatureMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.values, dtype=np.float32)
+        with np.errstate(over="ignore"):  # a finite value beyond float32's range casts to inf
+            arr = np.ascontiguousarray(self.values, dtype=np.float32)
         if arr.ndim != 2:
             raise ValidationError(f"feature matrix must be 2-d, got shape {arr.shape}")
         if arr.shape[1] < 1:
             raise ValidationError("feature dimensionality must be positive")
         if not np.all(np.isfinite(arr)):
+            if np.all(np.isfinite(np.asarray(self.values, dtype=np.float64))):
+                raise ValidationError("feature matrix values exceed the float32 range")
             raise ValidationError("feature matrix contains non-finite values")
         object.__setattr__(self, "values", arr)
 
@@ -97,8 +101,9 @@ def read_features(src: str | Path) -> FeatureMatrix:
 def _checked(values: np.ndarray, src: str | Path, kind: str) -> FeatureMatrix:
     try:
         return FeatureMatrix(values)
-    except ValidationError:  # the only check a parsed 2-d, dim >= 1 array can fail
-        raise ValidationError(f"{src}: {kind} contains non-finite values") from None
+    except ValidationError as exc:  # a parsed 2-d, dim >= 1 array fails only on its values
+        reason = str(exc).removeprefix("feature matrix ")
+        raise ValidationError(f"{src}: {kind} {reason}") from None
 
 
 def _parse_csv(data: bytes, src: str | Path) -> FeatureMatrix:
@@ -127,7 +132,7 @@ def _parse_csv(data: bytes, src: str | Path) -> FeatureMatrix:
         rows.append(row)
     if not rows:
         raise FormatError(f"{src}: bad magic {magic!r} and no CSV rows found")
-    return _checked(np.asarray(rows, dtype=np.float32), src, "CSV feature file")
+    return _checked(np.asarray(rows), src, "CSV feature file")
 
 
 @dataclass(frozen=True)
@@ -230,10 +235,27 @@ class SynthConfig:
 def synthesize_dataset(cfg: SynthConfig, out_dir: str | Path) -> Path:
     """Generate feature files plus a manifest under ``out_dir``.
 
-    Returns the manifest path. Bitwise reproducible for a fixed config.
+    Returns the manifest path. Bitwise reproducible for a fixed config. On
+    any error, the files written so far are removed, and so are the
+    directories this call created.
     """
     out = Path(out_dir)
+    created = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+    try:
+        return _write_dataset(cfg, out, written)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        for d in created:
+            with contextlib.suppress(OSError):  # not empty: files this call did not write
+                d.rmdir()
+        raise
+
+
+def _write_dataset(cfg: SynthConfig, out: Path, written: list[Path]) -> Path:
+    # appends each path to ``written`` before writing it, so a failed write is listed too
     rng = np.random.default_rng(cfg.seed)
     direction = rng.standard_normal(cfg.dim)
     direction /= np.linalg.norm(direction)
@@ -253,9 +275,12 @@ def synthesize_dataset(cfg: SynthConfig, out_dir: str | Path) -> Path:
                 where = rng.choice(cfg.instances_per_bag, size=cfg.witnesses_per_bag, replace=False)
                 values[where] += cfg.shift_magnitude * direction
             name = f"{split}-{tag}-{i:04d}.mil1"
-            write_features(FeatureMatrix(values), out / name)
+            matrix = FeatureMatrix(values)
+            written.append(out / name)
+            write_features(matrix, out / name)
             entries.append(ManifestEntry(f"{split}-{tag}-{i:04d}", label, name, split))
 
     manifest = out / "manifest.jsonl"
+    written.append(manifest)
     write_manifest(entries, manifest)
     return manifest

@@ -12,19 +12,20 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .bag_model import Dataset, pool_segments
+from .bag_model import Dataset, pool_bags
 from .checkpoint import load_train_checkpoint, save_train_checkpoint
 from .errors import ConfigError, TrainingAbort
 from .evaluation import roc_auc, score_bags
 from .objective import objective_gradient
 from .optimizers import Optimizer, OptimizerConfig, make_optimizer
-from .scorer import ScoringModel, init_glorot_normal
+from .scorer import ScorerConfig, ScoringModel, init_glorot_normal
 
 _STREAM_SHUFFLE = 1
 _STREAM_DROPOUT = 2
@@ -32,6 +33,9 @@ _STREAM_DROPOUT = 2
 # the TrainConfig fields a checkpoint's meta records; with the model and
 # optimizer headers they define the run that a resume must continue
 _META_SETTINGS = ("seed", "lam", "bags_per_batch", "segments")
+
+# the names of the checkpoints train writes under out_dir
+CHECKPOINT_NAME = re.compile(r"(final|best|ckpt-[0-9]{4,})\.mvck")
 
 
 @dataclass(frozen=True)
@@ -123,14 +127,22 @@ def plan_batches(
     return batches
 
 
-def build_model(input_dim: int, cfg: TrainConfig) -> ScoringModel:
-    dims = (input_dim, *cfg.hidden_dims, 1)
-    return init_glorot_normal(
-        dims,
-        cfg.seed,
+def _scorer_config(input_dim: int, cfg: TrainConfig) -> ScorerConfig:
+    return ScorerConfig(
+        layer_dims=(input_dim, *cfg.hidden_dims, 1),
         output_activation=cfg.output_activation,
         dropout_rate=cfg.dropout_rate,
     )
+
+
+def build_model(input_dim: int, cfg: TrainConfig) -> ScoringModel:
+    return init_glorot_normal(seed=cfg.seed, **asdict(_scorer_config(input_dim, cfg)))
+
+
+def _run_settings(scorer: ScorerConfig, optimizer_cfg: OptimizerConfig, settings: dict) -> dict:
+    """Everything that defines a run: ``settings`` plus the scorer and optimizer fields."""
+    optimizer = {"optimizer": optimizer_cfg.kind, "lr": optimizer_cfg.effective_lr}
+    return {**settings, **asdict(scorer), **optimizer}
 
 
 def _check_resume(
@@ -140,22 +152,12 @@ def _check_resume(
 
     Only epochs, checkpoint_interval, eval_every and out_dir may differ.
     """
-    saved = {
-        **{k: meta.get(k, "<not recorded>") for k in _META_SETTINGS},
-        "layer_dims": model.config.layer_dims,
-        "output_activation": model.config.output_activation,
-        "dropout_rate": model.config.dropout_rate,
-        "optimizer": optimizer.cfg.kind,
-        "lr": optimizer.lr,
-    }
-    configured = {
-        **{k: getattr(cfg, k) for k in _META_SETTINGS},
-        "layer_dims": (input_dim, *cfg.hidden_dims, 1),
-        "output_activation": cfg.output_activation,
-        "dropout_rate": cfg.dropout_rate,
-        "optimizer": cfg.optimizer.kind,
-        "lr": cfg.optimizer.effective_lr,
-    }
+    saved = _run_settings(
+        model.config, optimizer.cfg, {k: meta.get(k, "<not recorded>") for k in _META_SETTINGS}
+    )
+    configured = _run_settings(
+        _scorer_config(input_dim, cfg), cfg.optimizer, {k: getattr(cfg, k) for k in _META_SETTINGS}
+    )
     diffs = [
         f"{k}: checkpoint {saved[k]!r}, configured {configured[k]!r}"
         for k in configured
@@ -189,14 +191,9 @@ def train(
         raise ConfigError(
             f"training needs both classes: {len(pos_bags)} positive, {len(neg_bags)} negative bags"
         )
-    if cfg.segments is not None:
-        pos_bags = [pool_segments(b, cfg.segments) for b in pos_bags]
-        neg_bags = [pool_segments(b, cfg.segments) for b in neg_bags]
-    val_bags = None
-    if val_set is not None:
-        val_bags = list(val_set.bags)
-        if cfg.segments is not None:
-            val_bags = [pool_segments(b, cfg.segments) for b in val_bags]
+    pos_bags = pool_bags(pos_bags, cfg.segments)
+    neg_bags = pool_bags(neg_bags, cfg.segments)
+    val_bags = pool_bags(val_set.bags, cfg.segments) if val_set is not None else None
 
     out_dir = Path(cfg.out_dir) if cfg.out_dir is not None else None
     if out_dir is not None:
@@ -222,14 +219,17 @@ def train(
     started = time.perf_counter()
     last_checkpoint = None
 
-    def meta_dict(epoch: int) -> dict:
-        return {
+    def save_checkpoint(name: str, epoch: int) -> None:
+        nonlocal last_checkpoint
+        meta = {
             "epoch": epoch,
             "iteration": iteration,
             **{k: getattr(cfg, k) for k in _META_SETTINGS},
             "best_val_auc": best_val_auc,
             "best_epoch": best_epoch,
         }
+        save_train_checkpoint(out_dir / name, model, optimizer, meta)
+        last_checkpoint = out_dir / name
 
     for epoch in range(start_epoch, cfg.epochs + 1):
         shuffle_rng = np.random.default_rng([cfg.seed, _STREAM_SHUFFLE, epoch])
@@ -262,18 +262,17 @@ def train(
                 best_val_auc = val_auc
                 best_epoch = epoch
                 if out_dir is not None:
-                    save_train_checkpoint(out_dir / "best.mvck", model, optimizer, meta_dict(epoch))
+                    save_checkpoint("best.mvck", epoch)
 
         if (
             out_dir is not None
             and cfg.checkpoint_interval
             and epoch % cfg.checkpoint_interval == 0
         ):
-            last_checkpoint = out_dir / f"ckpt-{epoch:04d}.mvck"
-            save_train_checkpoint(last_checkpoint, model, optimizer, meta_dict(epoch))
+            save_checkpoint(f"ckpt-{epoch:04d}.mvck", epoch)
 
     if out_dir is not None:
-        save_train_checkpoint(out_dir / "final.mvck", model, optimizer, meta_dict(cfg.epochs))
+        save_checkpoint("final.mvck", cfg.epochs)
     return model, log
 
 
@@ -293,13 +292,11 @@ def compare_optimizers(
         raise ConfigError("kinds must be non-empty")
     if val_set is None:
         raise ConfigError("compare_optimizers needs an evaluation split")
-    val_bags = list(val_set.bags)
-    if base_cfg.segments is not None:
-        val_bags = [pool_segments(b, base_cfg.segments) for b in val_bags]
     rows = []
     for kind in kinds:
         opt_cfg = replace(base_cfg.optimizer, kind=kind)
-        run_cfg = replace(base_cfg, optimizer=opt_cfg, out_dir=None)
-        model, _ = train(train_set, run_cfg, val_set=None)
-        rows.append((kind, roc_auc(score_bags(model, val_bags)).auc))
+        # validation runs once, on the final model
+        run_cfg = replace(base_cfg, optimizer=opt_cfg, eval_every=base_cfg.epochs, out_dir=None)
+        _, log = train(train_set, run_cfg, val_set=val_set)
+        rows.append((kind, log.rows[-1].val_auc))
     return rows

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milvid.bag_model import assemble_bag, infer_bag_label, load_dataset, pool_segments
+from milvid.bag_model import (
+    assemble_bag,
+    infer_bag_label,
+    load_dataset,
+    pool_bags,
+    pool_segments,
+)
 from milvid.errors import ValidationError
 from milvid.feature_store import (
     FeatureMatrix,
@@ -115,6 +121,17 @@ def test_pool_preserves_global_mean_when_divisible(rng):
     rows = rng.normal(size=(12, 4))
     pooled = pool_segments(make_bag(rows, 1), 3).feature_matrix()
     assert np.allclose(pooled.mean(axis=0), rows.mean(axis=0), rtol=1e-12)
+
+
+def test_pool_bags_pools_each_bag_or_none(rng):
+    bags = (make_bag(rng.normal(size=(6, 3)), 1, "a"), make_bag(rng.normal(size=(4, 3)), -1, "b"))
+    unpooled = pool_bags(bags, None)
+    assert isinstance(unpooled, list) and all(u is b for u, b in zip(unpooled, bags, strict=True))
+    pooled = pool_bags(iter(bags), 2)
+    expected = [pool_segments(b, 2) for b in bags]
+    assert [b.bag_id for b in pooled] == ["a", "b"]
+    for got, want in zip(pooled, expected):
+        assert np.array_equal(got.feature_matrix(), want.feature_matrix())
 
 
 def test_bag_label_existential_rule():

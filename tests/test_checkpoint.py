@@ -106,6 +106,13 @@ def test_model_header_missing_key_is_format_error(path):
         deserialize_model(blob)
 
 
+def test_model_header_with_a_key_the_scorer_does_not_have_is_format_error():
+    blob = repack(serialize_model(init_glorot_normal((4, 3, 1), seed=0)),
+                  _set("model", "hidden_units", value=[3]))
+    with pytest.raises(FormatError, match="model header.*hidden_units"):
+        deserialize_model(blob)
+
+
 def test_model_missing_weight_array_is_format_error():
     model = init_glorot_normal((4, 3, 1), seed=0)
     header, arrays = unpack_container(serialize_model(model))

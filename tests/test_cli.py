@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import milvid
 from milvid import cli
 from milvid.checkpoint import pack_container, save_model, unpack_container
 from milvid.feature_store import FeatureMatrix, write_features
@@ -256,6 +260,22 @@ def test_config_flag_spellings_give_the_same_files(tmp_path, capsys):
                if name.endswith(".mil1"))
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--noise", "1e39", "exceed the float32 range"), ("--dim", str(10**15), "out of memory")],
+)
+def test_failed_gen_leaves_no_files_and_no_numpy_warning(tmp_path, flag, value, message):
+    env = {**os.environ, "PYTHONPATH": str(Path(milvid.__file__).parents[1])}
+    new = tmp_path / "new" / "data"
+    argv = [*gen_args(new), flag, value]
+    proc = subprocess.run([sys.executable, "-m", "milvid.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("milvid: error: ") and message in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_bad_json_exits_one(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{nope")
@@ -410,6 +430,32 @@ def test_train_out_is_the_only_model_file(tmp_path, capsys):
     }
     assert [name for name, kind in kinds.items() if kind == "model"] == ["x.mvck"]
     assert "model.mvck" not in kinds and "final.mvck" in kinds
+
+
+@pytest.mark.parametrize(
+    "flags, clash",
+    [
+        (["--out", "{run}/final.mvck"], "--out"),
+        (["--out", "{run}/best.mvck"], "--out"),
+        (["--out", "{run}/ckpt-0005.mvck"], "--out"),
+        (["--out", "{run}/m.mvck", "--log", "{run}/final.mvck"], "--log"),
+        (["--out", "{run}/m.mvck", "--log", "{run}/ckpt-12345.mvck"], "--log"),
+        (["--out", "{run}/m.mvck", "--log", "{run}/../run/m.mvck"], "same file"),
+    ],
+)
+def test_train_output_that_would_replace_a_checkpoint_or_the_model_exits_one(
+    tmp_path, capsys, flags, clash
+):
+    data = tmp_path / "data"
+    run_cli(capsys, *gen_args(data, **{"pos_test": 2, "neg_test": 2}))
+    run = tmp_path / "run"
+    code, _, err = run_cli(
+        capsys, "train", "--manifest", str(data / "manifest.jsonl"), "--epochs", "1",
+        "--batch-bags", "4", "--hidden", "4", *[f.format(run=run) for f in flags],
+    )
+    assert code == 1
+    assert err.startswith("milvid: error: ") and clash in err and "Traceback" not in err
+    assert not run.exists()
 
 
 def test_train_without_test_split_skips_validation(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -101,6 +102,17 @@ def test_nonfinite_read_names_the_file(tmp_path):
         read_features(binary)
     with pytest.raises(ValidationError, match="f.csv: CSV feature file contains non-finite values"):
         read_features(text)
+
+
+def test_values_beyond_float32_are_rejected_without_a_numpy_warning(tmp_path):
+    text = tmp_path / "f.csv"
+    text.write_text("1.0,2.0\n3.0,-1e39\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^feature matrix values exceed the float32"):
+            FeatureMatrix(np.array([[1e39]]))
+        with pytest.raises(ValidationError, match="f.csv: CSV feature file values exceed"):
+            read_features(text)
 
 
 def test_huge_header_is_corruption(tmp_path):
@@ -212,6 +224,21 @@ def test_synthesis_is_bitwise_reproducible(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_failed_synthesis_removes_what_it_wrote_and_keeps_the_rest(tmp_path, monkeypatch):
+    # the manifest write fails after every feature file is on disk
+    def no_space(entries, path):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(feature_store, "write_manifest", no_space)
+    cfg = SynthConfig(dim=4, n_pos_bags=2, n_neg_bags=2, instances_per_bag=3)
+    (tmp_path / "notes.txt").write_text("kept")
+    with pytest.raises(OSError, match="No space"):
+        synthesize_dataset(cfg, tmp_path)
+    with pytest.raises(OSError, match="No space"):
+        synthesize_dataset(cfg, tmp_path / "new" / "data")
+    assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
+
+
 def test_split_counts_match_config(tmp_path):
     cfg = SynthConfig(dim=4, n_pos_bags=5, n_neg_bags=3, instances_per_bag=2, seed=1,
                       n_pos_test=2, n_neg_test=4)
@@ -282,8 +309,6 @@ _manifest_records = st.dictionaries(
 )
 
 
-# CSV values beyond the float32 range overflow to inf (with numpy's warning) and are rejected
-@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(
     data=st.one_of(

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milvid.bag_model import load_dataset
+from milvid.bag_model import load_dataset, pool_bags
 from milvid.checkpoint import pack_container, serialize_model, unpack_container
 from milvid.errors import ConfigError, TrainingAbort
-from milvid.evaluation import evaluate_bags
+from milvid.evaluation import evaluate_bags, roc_auc, score_bags
 from milvid.feature_store import SynthConfig, synthesize_dataset
 from milvid.optimizers import KINDS, OptimizerConfig
 from milvid.trainer import TrainConfig, compare_optimizers, plan_batches, train
@@ -16,6 +16,7 @@ from milvid.trainer import TrainConfig, compare_optimizers, plan_batches, train
 from conftest import make_bag
 
 import milvid.bag_model as bag_model
+import milvid.trainer as trainer
 
 
 def tiny_dataset(tmp_path, **overrides):
@@ -136,6 +137,20 @@ def test_resume_names_every_changed_setting_with_both_values(tmp_path):
     assert "layer_dims: checkpoint (8, 16, 4, 1), configured (8, 32, 1)" in message
 
 
+def test_resume_refuses_a_checkpoint_whose_hidden_activation_differs(tmp_path):
+    # a TrainConfig implies relu hidden units; a tanh scorer is another model
+    train_set, _ = tiny_dataset(tmp_path)
+    out = tmp_path / "run"
+    train(train_set, tiny_config(epochs=2, checkpoint_interval=2, out_dir=out))
+    ckpt = out / "ckpt-0002.mvck"
+    header, arrays = unpack_container(ckpt.read_bytes())
+    header["model"]["hidden_activation"] = "tanh"
+    ckpt.write_bytes(pack_container(header, list(arrays.items())))
+    expected = "hidden_activation: checkpoint 'tanh', configured 'relu'"
+    with pytest.raises(ConfigError, match=expected):
+        train(train_set, tiny_config(epochs=4), resume_from=ckpt)
+
+
 def test_resume_refuses_a_checkpoint_that_does_not_record_the_run_settings(tmp_path):
     # the meta of older checkpoints holds no lam, bags_per_batch or segments
     train_set, _ = tiny_dataset(tmp_path)
@@ -194,6 +209,24 @@ def test_nan_objective_aborts(tmp_path):
         train(train_set, cfg)
 
 
+def test_abort_names_the_last_checkpoint_written_best_included(tmp_path, monkeypatch):
+    # the objective turns NaN in epoch 2, after epoch 1 wrote only best.mvck
+    train_set, val_set = tiny_dataset(tmp_path)
+    real = trainer.objective_gradient
+    calls = []
+
+    def nan_from_epoch_two(model, batch, lam, **kwargs):
+        calls.append(1)
+        value, scores, grads = real(model, batch, lam, **kwargs)
+        return (float("nan") if len(calls) > 4 else value), scores, grads
+
+    monkeypatch.setattr(trainer, "objective_gradient", nan_from_epoch_two)
+    out = tmp_path / "run"
+    with pytest.raises(TrainingAbort, match="iteration 5; last good checkpoint: .*best.mvck"):
+        train(train_set, tiny_config(epochs=3, out_dir=out), val_set=val_set)
+    assert sorted(p.name for p in out.iterdir()) == ["best.mvck"]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n_pos=st.integers(1, 40),
@@ -250,6 +283,14 @@ def test_compare_duplicate_kinds_are_identical(tmp_path):
     train_set, val_set = tiny_dataset(tmp_path)
     rows = compare_optimizers(train_set, tiny_config(), ["sgd", "sgd"], val_set)
     assert rows[0][1] == rows[1][1]
+
+
+def test_compare_with_segments_scores_the_pooled_test_bags(tmp_path):
+    train_set, val_set = tiny_dataset(tmp_path)
+    cfg = tiny_config(segments=4, optimizer=OptimizerConfig(kind="adam"))
+    rows = compare_optimizers(train_set, cfg, ["adam"], val_set)
+    model, _ = train(train_set, cfg)
+    assert rows == [("adam", roc_auc(score_bags(model, pool_bags(val_set.bags, 4))).auc)]
 
 
 def test_compare_rejects_empty_kinds(tmp_path):
