@@ -15,7 +15,7 @@ import numpy as np
 from .bag_model import Bag
 from .errors import ValidationError
 from .objective import bag_maxima
-from .scorer import ScoringModel
+from .scorer import ScoringModel, Workspace
 
 ScoredLabel = tuple[float, int]
 _SCORE_SLICE = 16  # bags per forward pass in score_bags; keeps the stacked copy small
@@ -143,10 +143,18 @@ class EvalReport:
         }
 
 
-def score_bags(model: ScoringModel, bags: list[Bag]) -> list[ScoredLabel]:
-    """Eval-mode bag scores (max over instances) with their true labels."""
+def score_bags(
+    model: ScoringModel, bags: list[Bag], work: Workspace | None = None
+) -> list[ScoredLabel]:
+    """Eval-mode bag scores (max over instances) with their true labels.
+
+    Every slice runs on one workspace, ``work`` or a new one, so slices
+    after the first reuse its buffers.
+    """
+    work = Workspace() if work is None else work
     chunks = [bags[i : i + _SCORE_SLICE] for i in range(0, len(bags), _SCORE_SLICE)]
-    return [(s, b.label) for c in chunks for s, b in zip(bag_maxima(model, c)[0].tolist(), c)]
+    return [(s, b.label) for c in chunks
+            for s, b in zip(bag_maxima(model, c, work=work)[0].tolist(), c)]
 
 
 def evaluate_bags(model: ScoringModel, bags: list[Bag], threshold: float | None = None) -> EvalReport:

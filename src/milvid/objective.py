@@ -15,7 +15,7 @@ import numpy as np
 
 from .bag_model import Bag
 from .errors import ConfigError, ValidationError
-from .scorer import ForwardTrace, Gradients, ScoringModel, backward, forward_batch
+from .scorer import ForwardTrace, Gradients, ScoringModel, Workspace, backward, forward_batch
 
 
 @dataclass(frozen=True)
@@ -43,19 +43,28 @@ def bag_maxima(
     bags: list[Bag],
     train: bool = False,
     rng: np.random.Generator | None = None,
+    *,
+    work: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, ForwardTrace]:
     """Each bag's highest instance score, the stacked row attaining it, and the trace.
 
     The bags' rows are stacked in order and scored by one forward pass, so a
     train-mode pass draws the same dropout masks as one pass per bag. The
     argmax is ``np.argmax`` per bag: the first maximum wins, and so does a NaN.
+    With ``work``, the stacked rows and the trace are views into the
+    workspace, valid until the next call on it (see ``forward_batch``);
+    ``work=None`` gives fresh arrays.
     """
     if not bags:
         raise ValidationError("bag_maxima needs at least one bag")
+    work = Workspace() if work is None else work
     # one bag's matrix is used as is: copying a 64-clip D=4096 bag would add 0.2 ms
-    x = bags[0].feature_matrix() if len(bags) == 1 else np.concatenate(
-        [bag.feature_matrix() for bag in bags])
-    scores, trace = forward_batch(model, x, train=train, rng=rng)
+    if len(bags) == 1:
+        x = bags[0].feature_matrix()
+    else:
+        mats = [bag.feature_matrix() for bag in bags]
+        x = np.concatenate(mats, out=work.get("x", (sum(map(len, mats)), mats[0].shape[1])))
+    scores, trace = forward_batch(model, x, train=train, rng=rng, work=work)
     rows, start = [], 0
     for bag in bags:
         rows.append(start + int(np.argmax(scores[start : start + len(bag)])))
@@ -70,27 +79,33 @@ def objective_gradient(
     lam: float,
     train: bool = False,
     rng: np.random.Generator | None = None,
+    *,
+    work: Workspace | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[float, list[BagLoss], Gradients]:
     """Mean bag hinge plus ``lam * 0.5 * ||W||^2``, per-bag detail, and the exact (sub)gradient.
 
     One backward pass runs over the argmax rows of the bags with a violated
     margin, each with upstream ``-Y / z``; the L2 term adds ``lam * W`` to
-    each weight gradient.
+    each weight gradient. The gradient fills ``out`` and the scratch goes
+    to ``work`` when given (see ``backward``); a trainer that passes the
+    same two on every step allocates nothing large after the first.
     """
     if lam < 0:
         raise ConfigError(f"regularization strength must be >= 0, got {lam}")
-    scores, rows, trace = bag_maxima(model, bags, train, rng)
+    work = Workspace() if work is None else work
+    scores, rows, trace = bag_maxima(model, bags, train, rng, work=work)
     labels = np.array([bag.label for bag in bags], dtype=np.float64)
     margins = labels * scores
     hinges = np.where(1.0 - margins > 0.0, 1.0 - margins, 0.0)  # a NaN margin gives 0
     index = rows - np.cumsum([0] + [len(bag) for bag in bags[:-1]])
     details = zip(scores.tolist(), index.tolist(), margins.tolist(), hinges.tolist())
     losses = [BagLoss(bag.bag_id, *d) for bag, d in zip(bags, details)]
-    value = sum(hinges.tolist()) / len(bags) + lam * 0.5 * model.weight_sq_norm()
+    value = sum(hinges.tolist()) / len(bags) + lam * 0.5 * model.weight_sq_norm(work)
     # each bag's upstream on its argmax row: -Y/z when its hinge is active, else 0
     upstream = np.where(hinges > 0.0, -labels / len(bags), 0.0)
     active = np.flatnonzero(upstream)
-    grads = backward(model, trace.select(rows[active]), upstream[active])
+    grads = backward(model, trace.select(rows[active], work), upstream[active], out=out, work=work)
     for gw, w in zip(grads.weights, model.weights):
-        gw += lam * w
+        gw += np.multiply(lam, w, out=work.get("weight", w.shape))
     return value, losses, grads

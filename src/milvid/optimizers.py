@@ -6,15 +6,17 @@ accumulator is one flat vector like ``theta``, zero before the first step,
 and is part of training checkpoints, so a resumed run continues bit-identically.
 Epsilon sits outside the square root: ``lr * g / (sqrt(v) + eps)``.
 
-A step first checks the whole gradient for non-finite entries, so an abort
-writes nothing. It then walks ``theta``, ``grad`` and the accumulators in
-contiguous blocks of ``_BLOCK`` entries, and each rule runs on one block at a
-time as a chain of in-place ufuncs through two scratch vectors of one block
-each. The scratch is allocated once per optimizer and is not a slot, so no
-checkpoint holds it. Every rule evaluates the same elementwise operations in
-the same order as its whole-vector form, given in a comment above it, so the
-blocked step gives the same bits; the blocks only keep the data in cache
-between the operations of one step.
+A step first checks the whole gradient for non-finite entries, one block of
+``_BLOCK`` entries at a time into a boolean scratch block, so an abort writes
+nothing. It then walks ``theta``, ``grad`` and the accumulators in the same
+contiguous blocks, and each rule runs on one block at a time as a chain of
+in-place ufuncs through two scratch vectors of one block each. The scratch is
+allocated once per optimizer and is not a slot, so no checkpoint holds it,
+and a step allocates nothing that grows with the parameter count. Every
+rule evaluates the same elementwise operations in the same order as its
+whole-vector form, given in a comment above it, so the blocked step gives
+the same bits; the blocks only keep the data in cache between the
+operations of one step.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ class Optimizer:
         self.t = 0
         self.slots: dict[str, np.ndarray] = {}
         self._scratch = np.empty((2, _BLOCK))
+        self._finite = np.empty(_BLOCK, dtype=bool)
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         """Update the flat parameter vector ``theta`` in place from ``grad``."""
@@ -77,9 +80,11 @@ class Optimizer:
                 f"step needs two flat vectors of one shape, got parameters {theta.shape} "
                 f"and gradient {grad.shape}"
             )
-        if not np.all(np.isfinite(grad)):
-            bad = int(np.count_nonzero(~np.isfinite(grad)))
-            raise TrainingAbort(f"non-finite gradient ({bad} bad entries) at step {self.t}")
+        for lo in range(0, grad.size, _BLOCK):
+            g = grad[lo : lo + _BLOCK]
+            if not np.isfinite(g, out=self._finite[: g.size]).all():
+                bad = int(np.count_nonzero(~np.isfinite(grad)))
+                raise TrainingAbort(f"non-finite gradient ({bad} bad entries) at step {self.t}")
         if not self.slots:
             self.slots = {name: np.zeros_like(theta) for name in self.slot_names}
         slots = [self.slots[name] for name in self.slot_names]

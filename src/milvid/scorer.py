@@ -11,6 +11,7 @@ differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,17 +19,16 @@ import numpy as np
 from .errors import ConfigError, ShapeError, ValidationError
 
 
-def _relu(z):
-    return np.maximum(z, 0.0)
+def _relu(z, out):
+    return np.maximum(z, 0.0, out=out)
 
 
-def _relu_grad(z):
+def _relu_grad(z, out):
     # subgradient at 0 fixed to 0
-    return (z > 0.0).astype(np.float64)
+    return np.greater(z, 0.0, out=out)
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
+def _sigmoid(z, out):
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
@@ -36,27 +36,35 @@ def _sigmoid(z):
     return out
 
 
-def _sigmoid_grad(z):
-    s = _sigmoid(z)
-    return s * (1.0 - s)
+def _sigmoid_grad(z, out):
+    s = _sigmoid(z, out)
+    return np.multiply(s, 1.0 - s, out=out)
 
 
-def _tanh_grad(z):
-    return 1.0 - np.tanh(z) ** 2
+def _tanh(z, out):
+    return np.tanh(z, out=out)
 
 
-def _identity(z):
-    return z
+def _tanh_grad(z, out):
+    t2 = np.square(np.tanh(z, out=out), out=out)
+    return np.subtract(1.0, t2, out=out)
 
 
-def _identity_grad(z):
-    return np.ones_like(z)
+def _identity(z, out):
+    np.copyto(out, z)
+    return out
 
 
+def _identity_grad(z, out):
+    out.fill(1.0)
+    return out
+
+
+# each function writes f(z) into ``out``, an array of z's shape, and returns it
 ACTIVATIONS = {
     "relu": (_relu, _relu_grad),
     "sigmoid": (_sigmoid, _sigmoid_grad),
-    "tanh": (np.tanh, _tanh_grad),
+    "tanh": (_tanh, _tanh_grad),
     "identity": (_identity, _identity_grad),
 }
 
@@ -104,6 +112,28 @@ class ScorerConfig:
         return self.layer_dims[0]
 
 
+class Workspace:
+    """Owned float64 scratch arrays, keyed by name, reused from call to call.
+
+    ``get(name, shape)`` returns the first ``prod(shape)`` entries of the
+    named buffer as a C-contiguous array of that shape, and replaces the
+    buffer by one of exactly that size when it is too small. A caller that
+    keeps one workspace across calls of one shape allocates nothing after
+    the first; what a call wrote into it is valid only until the next call
+    that uses the same workspace.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
 class FlatParams:
     """One flat float64 ``vector`` and views into it: the parameter layout.
 
@@ -131,16 +161,16 @@ class FlatParams:
 
 
 class ScoringModel(FlatParams):
-    """Dense scorer parameters in one flat ``theta``. Given weights and biases
-    are copied in; a list left out leaves its parameters at zero."""
+    """Dense scorer parameters in one flat ``theta``; the given weights and
+    biases are copied in."""
 
-    def __init__(self, config: ScorerConfig, weights: list | None = None, biases: list | None = None):
+    def __init__(self, config: ScorerConfig, weights: list, biases: list):
         self.config = config
         super().__init__(config.layer_dims)
         for kind, given, views in (("weight", weights, self.weights), ("bias", biases, self.biases)):
-            if given is not None and len(given) != config.num_layers:
+            if len(given) != config.num_layers:
                 raise ShapeError(f"{kind} list length does not match layer_dims")
-            for l, (arr, view) in enumerate(zip(given or [], views)):
+            for l, (arr, view) in enumerate(zip(given, views)):
                 arr = np.asarray(arr, dtype=np.float64)
                 if arr.shape != view.shape:
                     raise ShapeError(f"{kind} {l} has shape {arr.shape}, expected {view.shape}")
@@ -153,9 +183,11 @@ class ScoringModel(FlatParams):
         """The flat parameter vector the optimizers update in place."""
         return self.vector
 
-    def weight_sq_norm(self) -> float:
-        """Sum of squared weight entries, biases excluded."""
-        return float(sum(np.sum(w * w) for w in self.weights))
+    def weight_sq_norm(self, work: Workspace | None = None) -> float:
+        """Sum of squared weight entries, biases excluded; squares go to ``work``'s scratch."""
+        work = Workspace() if work is None else work
+        return float(sum(np.sum(np.multiply(w, w, out=work.get("weight", w.shape)))
+                         for w in self.weights))
 
     @property
     def default_threshold(self) -> float:
@@ -177,14 +209,11 @@ def init_glorot_normal(
         output_activation=output_activation,
         dropout_rate=dropout_rate,
     )
-    # theta before the draws: after them it sat above their freed temporaries,
-    # and milbench's desk training page-faulted 3x as often (25% slower)
-    model = ScoringModel(config)
     rng = np.random.default_rng(seed)
-    for w in model.weights:
-        fan_out, fan_in = w.shape
-        w[...] = rng.normal(0.0, glorot_std(fan_in, fan_out), size=w.shape)
-    return model
+    pairs = list(zip(config.layer_dims, config.layer_dims[1:]))
+    weights = [rng.normal(0.0, glorot_std(fan_in, fan_out), size=(fan_out, fan_in))
+               for fan_in, fan_out in pairs]
+    return ScoringModel(config, weights, [np.zeros(fan_out) for _, fan_out in pairs])
 
 
 @dataclass
@@ -195,12 +224,26 @@ class ForwardTrace:
     pre_activations: list[np.ndarray]
     dropout_mask: np.ndarray | None  # scaled mask (0 or 1/(1-rate)) or None
 
-    def select(self, rows: np.ndarray) -> "ForwardTrace":
-        """The trace of the given rows (an index array), for backpropagating through them."""
+    def select(self, rows: np.ndarray, work: Workspace | None = None) -> "ForwardTrace":
+        """The trace of the given rows (indices in ``range(n)``), for backpropagating
+        through them. With ``work``, its arrays are views into the workspace, valid
+        until the next call on it; ``work=None`` gives fresh arrays."""
+        work = Workspace() if work is None else work
+        rows = np.asarray(rows)
+        n = self.layer_inputs[0].shape[0]
+        if rows.size and (rows.min() < 0 or rows.max() >= n):
+            raise IndexError(f"trace rows must lie in [0, {n})")
+
+        def take(name, a):
+            # mode="clip" writes straight into ``out``; "raise" would copy through a temporary
+            out = work.get(name, (rows.size, *a.shape[1:]))
+            return np.take(a, rows, axis=0, out=out, mode="clip")
+
         return ForwardTrace(
-            layer_inputs=[a[rows] for a in self.layer_inputs],
-            pre_activations=[z[rows] for z in self.pre_activations],
-            dropout_mask=None if self.dropout_mask is None else self.dropout_mask[rows],
+            layer_inputs=[take(f"sel.in{l}", a) for l, a in enumerate(self.layer_inputs)],
+            pre_activations=[take(f"sel.pre{l}", z) for l, z in enumerate(self.pre_activations)],
+            dropout_mask=None if self.dropout_mask is None
+            else take("sel.mask", self.dropout_mask),
         )
 
 
@@ -209,11 +252,16 @@ def forward_batch(
     x: np.ndarray,
     train: bool = False,
     rng: np.random.Generator | None = None,
+    *,
+    work: Workspace | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Score a batch of feature rows; returns (scores, trace).
 
     Train mode draws one dropout mask per row from ``rng``; eval mode is a
-    pure function of (model, x).
+    pure function of (model, x). With ``work``, the scores and every array
+    of the trace except the input ``x`` are views into the workspace: the
+    next call on the same workspace overwrites them. ``work=None`` gives
+    fresh arrays that no other call touches.
     """
     cfg = model.config
     x = np.asarray(x, dtype=np.float64)
@@ -226,21 +274,26 @@ def forward_batch(
     if use_dropout and rng is None:
         raise ConfigError("train-mode scoring with dropout requires an rng")
 
+    work = Workspace() if work is None else work
     layer_inputs = [x]
     pre_activations = []
     mask = None
     act = x
-    for l in range(cfg.num_layers):
-        z = act @ model.weights[l].T + model.biases[l]
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = np.matmul(act, w.T, out=work.get(f"z{l}", (x.shape[0], w.shape[0])))
+        z += b
         pre_activations.append(z)
+        a = work.get(f"a{l}", z.shape)
         if l == cfg.num_layers - 1:
-            act = out_f(z)
+            act = out_f(z, a)
         else:
-            act = hidden_f(z)
+            act = hidden_f(z, a)
             if use_dropout and l == _DROPOUT_LAYER:
-                keep = rng.random(z.shape) >= cfg.dropout_rate
-                mask = keep.astype(np.float64) / (1.0 - cfg.dropout_rate)
-                act = act * mask
+                # keep where the draw is >= rate; kept units scale by 1/(1-rate)
+                mask = rng.random(out=work.get("mask", z.shape))
+                np.greater_equal(mask, cfg.dropout_rate, out=mask)
+                mask /= 1.0 - cfg.dropout_rate
+                act *= mask
             layer_inputs.append(act)
 
     return act[:, 0], ForwardTrace(layer_inputs, pre_activations, mask)
@@ -260,12 +313,23 @@ class Gradients(FlatParams):
         self.vector += other.vector
 
 
-def backward(model: ScoringModel, trace: ForwardTrace, upstream) -> Gradients:
+def backward(
+    model: ScoringModel,
+    trace: ForwardTrace,
+    upstream,
+    *,
+    out: np.ndarray | None = None,
+    work: Workspace | None = None,
+) -> Gradients:
     """Exact gradients of ``sum(upstream * score)`` for every parameter.
 
     ``upstream`` is a scalar (or per-row vector) multiplier on each row's
     score; the returned gradients also include the gradient with respect to
     the input rows. The dropout mask recorded in the trace is reused.
+    ``out`` is the flat gradient vector to fill, every entry written; the
+    returned ``Gradients`` are views into it. With ``work``, ``wrt_input``
+    is a view into the workspace, valid until the next call on it.
+    ``out=None`` and ``work=None`` give fresh arrays.
     """
     cfg = model.config
     num_layers = cfg.num_layers
@@ -284,16 +348,21 @@ def backward(model: ScoringModel, trace: ForwardTrace, upstream) -> Gradients:
     if up.shape != (n,):
         raise ShapeError(f"upstream has shape {up.shape}, expected ({n},)")
 
-    grads = Gradients.zeros_like(model)
-    dz = up[:, None] * out_g(trace.pre_activations[-1])
+    work = Workspace() if work is None else work
+    grads = Gradients.zeros_like(model) if out is None else Gradients(cfg.layer_dims, out)
+    z = trace.pre_activations[-1]
+    dz = np.multiply(up[:, None], out_g(z, work.get("act_grad", z.shape)),
+                     out=work.get("dz", z.shape))
     da = None
     for l in range(num_layers - 1, -1, -1):
-        grads.weights[l][...] = dz.T @ trace.layer_inputs[l]
-        grads.biases[l][...] = dz.sum(axis=0)
-        da = dz @ model.weights[l]
+        np.matmul(dz.T, trace.layer_inputs[l], out=grads.weights[l])
+        np.sum(dz, axis=0, out=grads.biases[l])
+        # one buffer per layer: dz of layer l-1 overwrites da in place
+        da = np.matmul(dz, model.weights[l], out=work.get(f"da{l}", (n, cfg.layer_dims[l])))
         if l - 1 == _DROPOUT_LAYER and trace.dropout_mask is not None:
-            da = da * trace.dropout_mask
+            da *= trace.dropout_mask
         if l > 0:
-            dz = da * hidden_g(trace.pre_activations[l - 1])
+            z = trace.pre_activations[l - 1]
+            dz = np.multiply(da, hidden_g(z, work.get("act_grad", z.shape)), out=da)
     grads.wrt_input = da
     return grads

@@ -25,7 +25,7 @@ from .errors import ConfigError, TrainingAbort
 from .evaluation import roc_auc, score_bags
 from .objective import objective_gradient
 from .optimizers import Optimizer, OptimizerConfig, make_optimizer
-from .scorer import ScorerConfig, ScoringModel, init_glorot_normal
+from .scorer import ScorerConfig, ScoringModel, Workspace, init_glorot_normal
 
 _STREAM_SHUFFLE = 1
 _STREAM_DROPOUT = 2
@@ -231,45 +231,57 @@ def train(
         save_train_checkpoint(out_dir / name, model, optimizer, meta)
         last_checkpoint = out_dir / name
 
-    for epoch in range(start_epoch, cfg.epochs + 1):
-        shuffle_rng = np.random.default_rng([cfg.seed, _STREAM_SHUFFLE, epoch])
-        batches = plan_batches(len(pos_bags), len(neg_bags), cfg.bags_per_batch, shuffle_rng)
-        for batch_idx, (pos_idx, neg_idx) in enumerate(batches):
-            batch = [pos_bags[i] for i in pos_idx] + [neg_bags[i] for i in neg_idx]
-            rng = (
-                np.random.default_rng([cfg.seed, _STREAM_DROPOUT, epoch, batch_idx])
-                if use_dropout
-                else None
-            )
-            value, _, grads = objective_gradient(
-                model, batch, cfg.lam, train=use_dropout, rng=rng
-            )
-            if not np.isfinite(value):
-                raise TrainingAbort(
-                    f"objective became non-finite at iteration {iteration + 1}; "
-                    f"last good checkpoint: {last_checkpoint or 'none'}"
+    # one workspace and one gradient vector for every step and validation
+    work = Workspace()
+    grad = np.empty_like(model.theta)
+    # a diverging run overflows in matmuls and squares: TrainingAbort reports
+    # it, so numpy's warnings would only be noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(start_epoch, cfg.epochs + 1):
+            shuffle_rng = np.random.default_rng([cfg.seed, _STREAM_SHUFFLE, epoch])
+            batches = plan_batches(len(pos_bags), len(neg_bags), cfg.bags_per_batch, shuffle_rng)
+            for batch_idx, (pos_idx, neg_idx) in enumerate(batches):
+                batch = [pos_bags[i] for i in pos_idx] + [neg_bags[i] for i in neg_idx]
+                rng = (
+                    np.random.default_rng([cfg.seed, _STREAM_DROPOUT, epoch, batch_idx])
+                    if use_dropout
+                    else None
                 )
-            optimizer.step(model.theta, grads.vector)
-            iteration += 1
-            log.rows.append(
-                LogRow(iteration, epoch, value, None, time.perf_counter() - started)
-            )
+                value, _, _ = objective_gradient(
+                    model, batch, cfg.lam, train=use_dropout, rng=rng, work=work, out=grad
+                )
+                if not np.isfinite(value):
+                    raise TrainingAbort(
+                        f"objective became non-finite at iteration {iteration + 1}; "
+                        f"last good checkpoint: {last_checkpoint or 'none'}"
+                    )
+                optimizer.step(model.theta, grad)
+                iteration += 1
+                log.rows.append(
+                    LogRow(iteration, epoch, value, None, time.perf_counter() - started)
+                )
 
-        if val_bags and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
-            val_auc = roc_auc(score_bags(model, val_bags)).auc
-            log.rows[-1].val_auc = val_auc
-            if best_val_auc is None or val_auc > best_val_auc:
-                best_val_auc = val_auc
-                best_epoch = epoch
-                if out_dir is not None:
-                    save_checkpoint("best.mvck", epoch)
+            if val_bags and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
+                scored = score_bags(model, val_bags, work)
+                if not all(math.isfinite(s) for s, _ in scored):
+                    raise TrainingAbort(
+                        f"validation scores became non-finite at epoch {epoch}; "
+                        f"last good checkpoint: {last_checkpoint or 'none'}"
+                    )
+                val_auc = roc_auc(scored).auc
+                log.rows[-1].val_auc = val_auc
+                if best_val_auc is None or val_auc > best_val_auc:
+                    best_val_auc = val_auc
+                    best_epoch = epoch
+                    if out_dir is not None:
+                        save_checkpoint("best.mvck", epoch)
 
-        if (
-            out_dir is not None
-            and cfg.checkpoint_interval
-            and epoch % cfg.checkpoint_interval == 0
-        ):
-            save_checkpoint(f"ckpt-{epoch:04d}.mvck", epoch)
+            if (
+                out_dir is not None
+                and cfg.checkpoint_interval
+                and epoch % cfg.checkpoint_interval == 0
+            ):
+                save_checkpoint(f"ckpt-{epoch:04d}.mvck", epoch)
 
     if out_dir is not None:
         save_checkpoint("final.mvck", cfg.epochs)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -33,6 +34,25 @@ def numerical_gradient(f, arrays, eps=1e-5):
             g[idx] = (fp - fm) / (2.0 * eps)
         out.append(g)
     return out
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# numpy >= 2.3 allocates one iterator buffer of np.getbufsize() entries for a
+# ufunc call that broadcasts (the bias add ``z += b``), however small the arrays
+UFUNC_BUFFER_BYTES = 8 * np.getbufsize()
+
+
+def traced_peak(f):
+    """Peak bytes that f() holds at once in allocations it makes, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def max_rel_err(analytic, numeric):

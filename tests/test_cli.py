@@ -276,6 +276,22 @@ def test_failed_gen_leaves_no_files_and_no_numpy_warning(tmp_path, flag, value, 
     assert list(tmp_path.iterdir()) == []
 
 
+def test_diverging_train_exits_one_naming_the_epoch_without_numpy_warnings(tmp_path, capsys):
+    data = tmp_path / "data"
+    argv = gen_args(data, dim=6, pos=4, neg=4, instances=4, pos_test=4, neg_test=4)
+    assert run_cli(capsys, *argv)[0] == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(milvid.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "milvid.cli", "train", "--manifest", str(data / "manifest.jsonl"),
+         "--lr=1e308", "--out", str(tmp_path / "m.mvck")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("milvid: error: ") and "non-finite at epoch 1" in proc.stderr
+    assert "last good checkpoint" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_config_bad_json_exits_one(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{nope")

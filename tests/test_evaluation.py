@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from milvid import evaluation
 from milvid.errors import ValidationError
 from milvid.evaluation import (
     ConfusionCounts,
@@ -14,7 +15,7 @@ from milvid.evaluation import (
 )
 from milvid.scorer import forward_batch, init_glorot_normal
 
-from conftest import make_bag, value_scorer
+from conftest import UFUNC_BUFFER_BYTES, make_bag, random_bags, traced_peak, value_scorer
 
 
 def pairwise_auc(scored):
@@ -245,3 +246,21 @@ def test_score_bags_across_slices_equals_per_bag_scores(rng):
     reference = [forward_batch(model, bag.feature_matrix())[0].max() for bag in bags]
     assert np.max(np.abs(np.array([s for s, _ in scored]) - reference)) <= 1e-15
     assert score_bags(model, []) == []
+
+
+def test_score_bags_slices_after_the_first_allocate_almost_nothing(rng, monkeypatch):
+    model = init_glorot_normal((64, 512, 32, 1), seed=0)
+    bags = random_bags(rng, 48, 32, 64)  # three slices of 16 bags, 512 rows each
+    for bag in bags:
+        bag.feature_matrix()
+    real, peaks = evaluation.bag_maxima, []
+
+    def measured(*args, **kwargs):
+        result = []
+        peaks.append(traced_peak(lambda: result.append(real(*args, **kwargs))))
+        return result[0]
+
+    monkeypatch.setattr(evaluation, "bag_maxima", measured)
+    score_bags(model, bags)
+    assert len(peaks) == 3 and peaks[0] > 2 * 512 * 512 * 8  # the first slice fills the buffers
+    assert max(peaks[1:]) < 64 * 1024 + UFUNC_BUFFER_BYTES

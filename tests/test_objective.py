@@ -4,9 +4,22 @@ import pytest
 from milvid.errors import ConfigError, ValidationError
 from milvid.evaluation import score_bags
 from milvid.objective import BagLoss, bag_maxima, bag_score, objective_gradient
-from milvid.scorer import Gradients, backward, forward_batch, init_glorot_normal
+from milvid.optimizers import OptimizerConfig, make_optimizer
+from milvid.scorer import (
+    ACTIVATIONS, Gradients, Workspace, backward, forward_batch, init_glorot_normal,
+)
 
-from conftest import chain_model, make_bag, max_rel_err, numerical_gradient, random_bags, value_scorer
+from conftest import (
+    UFUNC_BUFFER_BYTES,
+    chain_model,
+    make_bag,
+    max_rel_err,
+    numerical_gradient,
+    random_bags,
+    same_bits,
+    traced_peak,
+    value_scorer,
+)
 
 
 def test_bag_score_picks_max_and_argmax():
@@ -218,3 +231,39 @@ def test_bag_maxima_of_no_bags_is_a_validation_error():
     with pytest.raises(ValidationError, match="needs at least one bag"):
         bag_maxima(value_scorer(), [])
     assert score_bags(value_scorer(), []) == []
+
+
+@pytest.mark.parametrize("train", [False, True])
+@pytest.mark.parametrize("hidden", sorted(ACTIVATIONS))
+def test_objective_gradient_on_a_reused_workspace_gives_fresh_bits(rng, hidden, train):
+    model = init_glorot_normal((6, 8, 4, 1), seed=3, hidden_activation=hidden, dropout_rate=0.5)
+    model.theta[:] += rng.normal(scale=0.3, size=model.theta.size)
+    work, out = Workspace(), np.full(model.theta.size, np.nan)
+    # a larger batch first, so every buffer below is a prefix of a bigger one
+    objective_gradient(model, random_bags(rng, 12, 9, 6), 0.01, train, np.random.default_rng(0),
+                       work=work, out=out)
+    bags = random_bags(rng, 4, 5, 6)
+    value, losses, grads = objective_gradient(model, bags, 0.01, train, np.random.default_rng(1))
+    v, l, g = objective_gradient(model, bags, 0.01, train, np.random.default_rng(1),
+                                 work=work, out=out)
+    assert same_bits(np.float64(v), np.float64(value)) and l == losses
+    assert g.vector is out and same_bits(g.vector, grads.vector)
+
+
+def test_a_steady_state_training_step_allocates_almost_nothing(rng):
+    # 512 rows in 64 bags: with a sigmoid output every hinge is active, so
+    # backward runs over 64 rows, and a hidden-layer array made afresh is 256 KB
+    model = init_glorot_normal((64, 512, 32, 1), seed=0)
+    bags = random_bags(rng, 64, 8, 64)
+    for bag in bags:
+        bag.feature_matrix()  # cached per bag, as over a training run
+    optimizer = make_optimizer(OptimizerConfig(kind="adam"))
+    work, grad = Workspace(), np.empty_like(model.theta)
+
+    def step(seed):
+        objective_gradient(model, bags, 0.001, train=True, rng=np.random.default_rng(seed),
+                           work=work, out=grad)
+        optimizer.step(model.theta, grad)
+
+    step(0)
+    assert traced_peak(lambda: step(1)) < 64 * 1024 + UFUNC_BUFFER_BYTES

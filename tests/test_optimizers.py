@@ -8,6 +8,8 @@ from milvid.optimizers import (
     _BLOCK, BETA1, BETA2, EPS, KINDS, RHO, OptimizerConfig, make_optimizer,
 )
 
+from conftest import same_bits, traced_peak
+
 
 def single(value):
     return np.array([float(value)])
@@ -157,10 +159,6 @@ def whole_vector_step(kind, lr, t, p, g, slots):
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
-def same_bits(a, b):
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 @pytest.mark.parametrize("size", [1, 1000, 2 * _BLOCK + 123])
 @pytest.mark.parametrize("kind", KINDS)
 def test_blocked_step_gives_the_bits_of_the_whole_vector_rules(kind, size):
@@ -207,3 +205,12 @@ def test_step_rejects_vectors_unlike_the_first():
     with pytest.raises(ConfigError, match="flat"):
         opt.step(np.zeros((2, 5)), np.ones((2, 5)))
     assert opt.t == 1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_step_after_the_first_allocates_no_parameter_sized_array(kind, rng):
+    size = 8 * _BLOCK  # a 256 KB boolean vector, were the finiteness check whole-vector
+    opt = make_optimizer(OptimizerConfig(kind=kind))
+    theta, g = rng.normal(size=size), rng.normal(size=size)
+    opt.step(theta, g)
+    assert traced_peak(lambda: opt.step(theta, g)) < 64 * 1024

@@ -6,16 +6,18 @@ from hypothesis import strategies as st
 from milvid.checkpoint import deserialize_model, serialize_model
 from milvid.errors import ConfigError, CorruptionError, FormatError, ShapeError
 from milvid.scorer import (
+    ACTIVATIONS,
     Gradients,
     ScorerConfig,
     ScoringModel,
+    Workspace,
     backward,
     forward_batch,
     glorot_std,
     init_glorot_normal,
 )
 
-from conftest import chain_model, max_rel_err, numerical_gradient
+from conftest import chain_model, max_rel_err, numerical_gradient, same_bits
 
 
 def zero_model(output_activation, dims=(4, 3, 1), dropout_rate=0.6):
@@ -226,3 +228,66 @@ def test_weights_and_biases_are_views_into_theta_in_layout_order():
     assert grads.vector.shape == model.theta.shape and not grads.vector.any()
     for g, p in zip(grads.param_list(), params):
         assert g.shape == p.shape and np.shares_memory(g, grads.vector)
+
+
+def trace_arrays(scores, trace):
+    mask = [] if trace.dropout_mask is None else [trace.dropout_mask]
+    return [scores, *trace.layer_inputs, *trace.pre_activations, *mask]
+
+
+def perturbed_model(rng, hidden_activation, output_activation="sigmoid"):
+    model = init_glorot_normal((5, 7, 3, 1), seed=2, hidden_activation=hidden_activation,
+                               output_activation=output_activation, dropout_rate=0.5)
+    model.theta[:] += rng.normal(scale=0.3, size=model.theta.size)  # nonzero biases
+    return model
+
+
+@pytest.mark.parametrize("train", [False, True])
+@pytest.mark.parametrize("hidden", sorted(ACTIVATIONS))
+def test_reused_workspace_gives_the_bits_of_a_fresh_call(rng, hidden, train):
+    model = perturbed_model(rng, hidden)
+    x, up = rng.normal(size=(9, 5)), rng.normal(size=9)
+    work, out = Workspace(), np.full(model.theta.size, np.nan)
+    # a larger call first, so every buffer below is a prefix of a bigger one
+    big = rng.normal(size=(40, 5))
+    _, big_trace = forward_batch(model, big, train, np.random.default_rng(0), work=work)
+    backward(model, big_trace, rng.normal(size=40), out=out, work=work)
+
+    fresh = forward_batch(model, x, train, np.random.default_rng(1))
+    reused = forward_batch(model, x, train, np.random.default_rng(1), work=work)
+    assert (reused[1].dropout_mask is None) == (not train)
+    pairs = zip(trace_arrays(*fresh), trace_arrays(*reused), strict=True)
+    assert all(same_bits(a, b) for a, b in pairs)
+    g_fresh = backward(model, fresh[1], up)
+    g_reused = backward(model, reused[1], up, out=out, work=work)
+    assert g_reused.vector is out and same_bits(g_reused.vector, g_fresh.vector)
+    assert same_bits(g_reused.wrt_input, g_fresh.wrt_input)
+
+
+def test_traces_alias_only_on_a_shared_workspace(rng):
+    model = perturbed_model(rng, "relu")
+    x1, x2, up = rng.normal(size=(6, 5)), rng.normal(size=(6, 5)), np.ones(6)
+    first = forward_batch(model, x1, True, np.random.default_rng(0))
+    kept = [a.copy() for a in trace_arrays(*first)]
+    grads = backward(model, first[1], up)
+    kept_grads = grads.vector.copy(), grads.wrt_input.copy()
+    second = forward_batch(model, x2, True, np.random.default_rng(1))
+    backward(model, second[1], up)
+    assert all(same_bits(a, b) for a, b in zip(kept, trace_arrays(*first)))
+    assert same_bits(kept_grads[0], grads.vector) and same_bits(kept_grads[1], grads.wrt_input)
+    assert not any(np.shares_memory(a, b)
+                   for a in trace_arrays(*first)[1:] for b in trace_arrays(*second)[1:])
+    # on one workspace the second call overwrites the first call's trace
+    work = Workspace()
+    scores1, trace1 = forward_batch(model, x1, work=work)
+    scores2, trace2 = forward_batch(model, x2, work=work)
+    assert np.shares_memory(scores1, scores2)
+    assert all(np.shares_memory(a, b)
+               for a, b in zip(trace1.pre_activations, trace2.pre_activations))
+
+
+def test_trace_select_rejects_rows_out_of_range(rng):
+    _, trace = forward_batch(perturbed_model(rng, "relu"), rng.normal(size=(3, 5)))
+    for rows in ([3], [-1]):
+        with pytest.raises(IndexError, match="rows"):
+            trace.select(np.array(rows))
