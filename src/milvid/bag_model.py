@@ -1,10 +1,16 @@
 """Bags of labeled instances and temporal segment pooling.
 
-An instance is one clip's feature vector: a 1-d float64 array. A bag is one
-video's instances in temporal order, so an instance's position in the bag
-is its temporal index, plus a single bag-level label. A bag is negative
-exactly when all of its instances are negative, so bag labels follow the
-existential rule implemented by :func:`infer_bag_label`.
+An instance is one clip's feature vector. A bag is one video's instances in
+temporal order, so an instance's position in the bag is its temporal index,
+plus a single bag-level label. A bag is negative exactly when all of its
+instances are negative, so bag labels follow the existential rule
+implemented by :func:`infer_bag_label`.
+
+A bag's instances are the rows of its read-only 2-d ``matrix``. A loaded
+split reads every feature file into one float32 array, and each of its bags
+holds a view of its own rows; pooled bags hold float64 means. The math runs
+in float64: ``feature_matrix`` and ``objective.bag_maxima`` cast the rows,
+which is exact.
 """
 
 from __future__ import annotations
@@ -16,34 +22,40 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .feature_store import FeatureMatrix, read_features, read_manifest
+from .feature_store import FeatureMatrix, read_manifest, read_split
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bag:
     bag_id: str
     label: int
-    instances: tuple[np.ndarray, ...]  # 1-d float64 rows, temporal order
-    _matrix_cache: list = field(default_factory=list, repr=False, compare=False)
+    matrix: np.ndarray  # (n, dim), one row per instance in temporal order, read-only
+    instances: tuple[np.ndarray, ...] = field(init=False, repr=False)  # the matrix's rows
 
     def __post_init__(self) -> None:
         if self.label not in (1, -1):
             raise ValidationError(f"bag label must be +1 or -1, got {self.label!r}")
-        if len(self.instances) < 1:
+        matrix = np.asarray(self.matrix)
+        if matrix.ndim != 2:
+            raise ValidationError(f"bag {self.bag_id!r} matrix must be 2-d, got shape {matrix.shape}")
+        if len(matrix) < 1:
             raise ValidationError(f"bag {self.bag_id!r} has no instances")
+        if matrix.flags.writeable:  # a read-only view; the caller's array stays as it was
+            matrix = matrix.view()
+            matrix.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "instances", tuple(matrix))
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return len(self.matrix)
 
     @property
     def dim(self) -> int:
-        return self.instances[0].shape[0]
+        return self.matrix.shape[1]
 
     def feature_matrix(self) -> np.ndarray:
-        """All instances stacked row-wise, float64, temporal order."""
-        if not self._matrix_cache:
-            self._matrix_cache.append(np.stack(self.instances, dtype=np.float64))
-        return self._matrix_cache[0]
+        """The instances as a fresh float64 array, one row each, temporal order."""
+        return self.matrix.astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -69,39 +81,38 @@ class Dataset:
 
 
 def assemble_bag(m: FeatureMatrix, label: int, bag_id: str) -> Bag:
-    """Turn a feature matrix into a bag, one instance per row."""
-    instances = tuple(m.values[i].astype(np.float64) for i in range(m.count))
-    return Bag(bag_id=bag_id, label=label, instances=instances)
+    """Turn a feature matrix into a bag, one instance per row, sharing its array."""
+    return Bag(bag_id=bag_id, label=label, matrix=m.values)
 
 
 def pool_segments(bag: Bag, num_segments: int) -> Bag:
-    """Pool a bag's instances into exactly ``num_segments`` mean segments.
+    """Pool a bag's instances into exactly ``num_segments`` float64 mean segments.
 
     Segment ``j`` averages the source rows with indices in
-    ``[floor(j*n/S), floor((j+1)*n/S))``. When S equals n, each segment is
-    one row, so the bag itself is returned, uncopied. When S exceeds n, that
-    range holds at most one row, so segment ``j`` repeats row
-    ``floor(j*n/S)`` and nothing is averaged. Label and bag id carry over.
+    ``[floor(j*n/S), floor((j+1)*n/S))``: one ``np.add.reduce`` per segment
+    in float64, then a divide by its row count, the same bits as
+    ``.mean(axis=0)`` on the rows cast to float64. When S equals n, each
+    segment is one row, so the bag itself is returned, uncopied. When S
+    exceeds n, that range holds at most one row, so segment ``j`` repeats
+    row ``floor(j*n/S)`` and nothing is averaged. Label and bag id carry over.
     """
     if num_segments < 1:
         raise ValidationError("segment count must be >= 1")
     n = len(bag)
     if n == num_segments:
         return bag
-    rows = bag.feature_matrix()
+    rows = bag.matrix
     j = np.arange(num_segments)
     lo = j * n // num_segments
-    pooled = rows[lo]
-    if n > num_segments:
+    if n < num_segments:
+        pooled = rows[lo].astype(np.float64)
+    else:
         hi = (j + 1) * n // num_segments  # n / S > 1, so every range holds a row
-        # row by row, in row order, as ``.mean(axis=0)`` adds them
-        for t in range(1, int((hi - lo).max())):
-            more = lo + t < hi
-            pooled[more] += rows[lo[more] + t]
+        pooled = np.empty((num_segments, bag.dim))
+        for k, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+            np.add.reduce(rows[a:b], axis=0, dtype=np.float64, out=pooled[k])
         pooled /= (hi - lo)[:, None]
-    # the pooled array is the new bag's matrix: its instances are views of it
-    return Bag(bag_id=bag.bag_id, label=bag.label, instances=tuple(pooled),
-               _matrix_cache=[pooled])
+    return Bag(bag_id=bag.bag_id, label=bag.label, matrix=pooled)
 
 
 def pool_bags(bags: Iterable[Bag], segments: int | None) -> list[Bag]:
@@ -125,26 +136,19 @@ def load_dataset(manifest_path: str | Path, split: str | None = None) -> Dataset
     """Load the bags a manifest references, optionally filtered by split.
 
     Feature paths resolve relative to the manifest's directory. All files
-    must share one feature dimensionality.
+    must share one feature dimensionality. The files are read into one
+    read-only float32 array (``feature_store.read_split``); each bag's
+    matrix is a view of its file's rows in it.
     """
     manifest_path = Path(manifest_path)
-    base = manifest_path.parent
     entries = read_manifest(manifest_path)
     if split is not None:
         entries = [e for e in entries if e.split == split]
-    bags = []
-    dim = None
-    for e in entries:
-        m = read_features(base / e.path)
-        if dim is None:
-            dim = m.dim
-        elif m.dim != dim:
-            raise ValidationError(
-                f"{e.path}: dim {m.dim} differs from manifest-wide dim {dim}"
-            )
-        bags.append(assemble_bag(m, e.label, e.bag_id))
-    if dim is None:
+    if not entries:
         raise ValidationError(
             f"{manifest_path}: no bags found" + (f" for split {split!r}" if split else "")
         )
-    return Dataset(bags=tuple(bags), dim=dim)
+    values, spans = read_split([manifest_path.parent / e.path for e in entries])
+    bags = tuple(Bag(bag_id=e.bag_id, label=e.label, matrix=values[a:b])
+                 for e, (a, b) in zip(entries, spans))
+    return Dataset(bags=bags, dim=values.shape[1])

@@ -20,6 +20,7 @@ relative to the manifest's directory) and ``split`` ("train" or "test").
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -76,26 +77,81 @@ def write_features(m: FeatureMatrix, dest: str | Path) -> None:
 def read_features(src: str | Path) -> FeatureMatrix:
     """Read a MIL1 feature file, falling back to CSV for text files."""
     with open(src, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if header[:4] != MAGIC:
-            return _parse_csv(header + fh.read(), src)
-        if len(header) < _HEADER.size:
-            raise CorruptionError(f"{src}: truncated header, expected at least "
-                                  f"{_HEADER.size} bytes, got {len(header)}")
-        _, dim, count = _HEADER.unpack(header)
-        if dim < 1:
-            raise FormatError(f"{src}: header declares dim={dim}, must be >= 1")
-        expected = count * dim * 4
-        actual = os.fstat(fh.fileno()).st_size - _HEADER.size
-        if actual == expected:  # a huge header fails here, before any allocation
-            values = np.empty((count, dim), dtype="<f4")
-            actual = fh.readinto(values)
-        if actual != expected:
-            raise CorruptionError(
-                f"{src}: payload size mismatch, expected {expected} bytes for "
-                f"{count}x{dim} float32 values, got {actual}"
-            )
+        shape = _mil1_shape(fh, src)
+        if shape is None:
+            return _parse_csv(fh.read(), src)
+        values = np.empty(shape, dtype="<f4")
+        _read_payload(fh, values, src)
     return _checked(values, src, "feature file")
+
+
+def read_split(paths: list[str | Path]) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Read feature files into one read-only float32 ``(R, D)`` array, file after file.
+
+    Every header is read first, and text files are parsed then, so the array
+    is allocated once at its final size before any MIL1 payload is read into
+    it. Returns the array and each file's ``(start, stop)`` rows in it. All
+    files must share one dim; errors name the file, as ``read_features``'s do.
+    """
+    if not paths:
+        raise ValidationError("read_split needs at least one feature file")
+    shapes, texts = [], {}  # texts: index -> values of a parsed text file
+    for i, src in enumerate(paths):
+        with open(src, "rb") as fh:
+            shape = _mil1_shape(fh, src)
+            if shape is None:
+                texts[i] = _parse_csv(fh.read(), src).values
+                shape = texts[i].shape
+        if shapes and shape[1] != shapes[0][1]:
+            raise ValidationError(f"{src}: dim {shape[1]} differs from dim {shapes[0][1]} "
+                                  f"of {paths[0]}")
+        shapes.append(shape)
+    stops = list(itertools.accumulate(count for count, _ in shapes))
+    spans = list(zip([0, *stops], stops))
+    values = np.empty((stops[-1], shapes[0][1]), dtype="<f4")
+    for i, (src, (a, b)) in enumerate(zip(paths, spans)):
+        if i in texts:
+            values[a:b] = texts[i]
+            continue
+        with open(src, "rb") as fh:
+            fh.seek(_HEADER.size)
+            _read_payload(fh, values[a:b], src)
+        _checked(values[a:b], src, "feature file")
+    values.flags.writeable = False
+    return values, spans
+
+
+def _mil1_shape(fh, src: str | Path) -> tuple[int, int] | None:
+    """The ``(count, dim)`` a MIL1 file's header declares, checked against the
+    file's size; ``fh`` is left at the payload. None, with nothing read, when
+    the file does not start with the magic."""
+    if fh.peek(len(MAGIC))[: len(MAGIC)] != MAGIC:
+        return None
+    header = fh.read(_HEADER.size)
+    if len(header) < _HEADER.size:
+        raise CorruptionError(f"{src}: truncated header, expected at least "
+                              f"{_HEADER.size} bytes, got {len(header)}")
+    _, dim, count = _HEADER.unpack(header)
+    if dim < 1:
+        raise FormatError(f"{src}: header declares dim={dim}, must be >= 1")
+    actual = os.fstat(fh.fileno()).st_size - _HEADER.size
+    if actual != count * dim * 4:  # a huge header fails here, before any allocation
+        raise _size_mismatch(src, count, dim, actual)
+    return count, dim
+
+
+def _read_payload(fh, out: np.ndarray, src: str | Path) -> None:
+    """Fill ``out``, a C-contiguous float32 array, from ``fh``'s current position."""
+    got = fh.readinto(out)
+    if got != out.nbytes:  # the file shrank after its size was checked
+        raise _size_mismatch(src, *out.shape, got)
+
+
+def _size_mismatch(src: str | Path, count: int, dim: int, actual: int) -> CorruptionError:
+    return CorruptionError(
+        f"{src}: payload size mismatch, expected {count * dim * 4} bytes for "
+        f"{count}x{dim} float32 values, got {actual}"
+    )
 
 
 def _checked(values: np.ndarray, src: str | Path, kind: str) -> FeatureMatrix:

@@ -48,9 +48,10 @@ def bag_maxima(
 ) -> tuple[np.ndarray, np.ndarray, ForwardTrace]:
     """Each bag's highest instance score, the stacked row attaining it, and the trace.
 
-    The bags' rows are stacked in order and scored by one forward pass, so a
-    train-mode pass draws the same dropout masks as one pass per bag. The
-    argmax is ``np.argmax`` per bag: the first maximum wins, and so does a NaN.
+    The bags' rows are cast to float64 (exact), stacked in order and scored
+    by one forward pass, so a train-mode pass draws the same dropout masks
+    as one pass per bag. The argmax is ``np.argmax`` per bag: the first
+    maximum wins, and so does a NaN.
     With ``work``, the stacked rows and the trace are views into the
     workspace, valid until the next call on it (see ``forward_batch``);
     ``work=None`` gives fresh arrays.
@@ -58,12 +59,9 @@ def bag_maxima(
     if not bags:
         raise ValidationError("bag_maxima needs at least one bag")
     work = Workspace() if work is None else work
-    # one bag's matrix is used as is: copying a 64-clip D=4096 bag would add 0.2 ms
-    if len(bags) == 1:
-        x = bags[0].feature_matrix()
-    else:
-        mats = [bag.feature_matrix() for bag in bags]
-        x = np.concatenate(mats, out=work.get("x", (sum(map(len, mats)), mats[0].shape[1])))
+    # the stored rows (float32 when loaded) cast straight into the stacked float64 buffer
+    x = np.concatenate([bag.matrix for bag in bags],
+                       out=work.get("x", (sum(map(len, bags)), bags[0].dim)))
     scores, trace = forward_batch(model, x, train=train, rng=rng, work=work)
     rows, start = [], 0
     for bag in bags:

@@ -116,11 +116,12 @@ class Workspace:
     """Owned float64 scratch arrays, keyed by name, reused from call to call.
 
     ``get(name, shape)`` returns the first ``prod(shape)`` entries of the
-    named buffer as a C-contiguous array of that shape, and replaces the
-    buffer by one of exactly that size when it is too small. A caller that
-    keeps one workspace across calls of one shape allocates nothing after
-    the first; what a call wrote into it is valid only until the next call
-    that uses the same workspace.
+    named buffer as a C-contiguous array of that shape. A buffer that is too
+    small is replaced by one of at least twice its size, so calls of rising
+    shapes (slices of bags of mixed length) reallocate a logarithmic number
+    of times. A caller that keeps one workspace across calls of one shape
+    allocates nothing after the first; what a call wrote into it is valid
+    only until the next call that uses the same workspace.
     """
 
     def __init__(self) -> None:
@@ -130,7 +131,8 @@ class Workspace:
         size = math.prod(shape)
         buf = self._buffers.get(name)
         if buf is None or buf.size < size:
-            buf = self._buffers[name] = np.empty(size)
+            grown = size if buf is None else max(size, 2 * buf.size)
+            buf = self._buffers[name] = np.empty(grown)
         return buf[:size].reshape(shape)
 
 

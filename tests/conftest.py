@@ -86,7 +86,7 @@ def make_bag(rows, label, bag_id="bag"):
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim == 1:
         rows = rows[:, None]
-    return Bag(bag_id=bag_id, label=label, instances=tuple(rows))
+    return Bag(bag_id=bag_id, label=label, matrix=rows)
 
 
 def random_bags(rng, n_bags, n_instances, dim):

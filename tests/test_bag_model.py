@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from milvid.bag_model import (
+    Bag,
     assemble_bag,
     infer_bag_label,
     load_dataset,
@@ -13,16 +16,20 @@ from milvid.bag_model import (
     pool_segments,
 )
 from milvid.errors import ValidationError
+from milvid.evaluation import score_bags
 from milvid.feature_store import (
     FeatureMatrix,
     ManifestEntry,
     SynthConfig,
+    read_features,
     synthesize_dataset,
     write_features,
     write_manifest,
 )
+from milvid.objective import bag_maxima
+from milvid.scorer import init_glorot_normal
 
-from conftest import make_bag
+from conftest import make_bag, same_bits
 
 
 def test_assemble_thirty_clip_video(rng):
@@ -93,11 +100,22 @@ def test_pool_equals_the_loop_reference_bitwise(n, s, d, seed):
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 130), s=st.integers(1, 70), seed=st.integers(0, 2**31))
 def test_pool_one_dim_equals_the_loop_reference_within_rounding(n, s, seed):
-    # at D = 1 numpy's .mean sums a segment of 8 or more rows pairwise, so
-    # the row-order sum may round differently
+    # at D = 1 numpy's .mean sums a segment of 8 or more rows pairwise, and so
+    # does pool_segments' per-segment np.add.reduce: no rounding differs
     rows = scaled_rows(n, 1, seed)
     pooled = pool_segments(make_bag(rows, 1), s).feature_matrix()
-    assert np.all(np.abs(pooled - loop_pool(rows, s)) <= 1e-12 * np.abs(rows).max())
+    assert pooled.tobytes() == loop_pool(rows, s).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 130), s=st.integers(1, 70), d=st.sampled_from([1, 2, 3, 64]),
+       seed=st.integers(0, 2**31))
+def test_pool_of_float32_rows_equals_the_reference_on_their_float64_cast(n, s, d, seed):
+    rows = scaled_rows(n, d, seed).astype(np.float32)
+    pooled = pool_segments(Bag("bag", 1, rows), s)
+    assert pooled.matrix.dtype == (np.float32 if n == s else np.float64)
+    assert not pooled.matrix.flags.writeable
+    assert pooled.feature_matrix().tobytes() == loop_pool(rows.astype(np.float64), s).tobytes()
 
 
 @settings(max_examples=80, deadline=None)
@@ -172,3 +190,89 @@ def test_load_dataset_rejects_mixed_dims(tmp_path, rng):
     )
     with pytest.raises(ValidationError, match="dim"):
         load_dataset(tmp_path / "m.jsonl")
+
+
+def write_split(tmp_path, rng, counts, dim=4, csv=()):
+    """One train split of feature files with the given clip counts; the
+    files at the indices in ``csv`` are text. Returns the manifest and paths."""
+    paths, entries = [], []
+    for i, count in enumerate(counts):
+        values = rng.normal(size=(count, dim)).astype(np.float32)
+        path = tmp_path / (f"v{i}.csv" if i in csv else f"v{i}.mil1")
+        if i in csv:
+            path.write_text("".join(",".join(repr(float(x)) for x in row) + "\n" for row in values))
+        else:
+            write_features(FeatureMatrix(values), path)
+        paths.append(path)
+        entries.append(ManifestEntry(f"v{i}", 1 if i % 2 == 0 else -1, path.name, "train"))
+    write_manifest(entries, tmp_path / "m.jsonl")
+    return tmp_path / "m.jsonl", paths
+
+
+def test_a_loaded_split_is_one_read_only_float32_buffer(tmp_path, rng):
+    manifest, paths = write_split(tmp_path, rng, [3, 5, 2])
+    bags = load_dataset(manifest).bags
+    buffer = bags[0].matrix.base
+    assert buffer.shape == (10, 4) and buffer.dtype == np.float32
+    assert not buffer.flags.writeable
+    start = 0
+    for bag, path in zip(bags, paths, strict=True):
+        assert bag.matrix.base is buffer and bag.matrix.dtype == np.float32
+        assert bag.matrix.ctypes.data == buffer[start].ctypes.data  # rows back to back
+        assert len(bag.instances) == len(bag) and all(
+            row.base is buffer and same_bits(row, bag.matrix[i]) for i, row in enumerate(bag.instances))
+        start += len(bag)
+        matrix = bag.feature_matrix()
+        assert matrix.dtype == np.float64 and matrix.flags.writeable
+        assert same_bits(matrix, read_features(path).values.astype(np.float64))
+        assert bag.feature_matrix() is not matrix  # a fresh cast, never cached
+    with pytest.raises(ValueError, match="read-only"):
+        bags[1].instances[0][0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        bags[1].matrix[0, 0] = 1.0
+
+
+def test_a_bag_of_a_caller_array_is_a_read_only_view_of_it():
+    values = np.ones((2, 3), dtype=np.float32)
+    bag = assemble_bag(FeatureMatrix(values), 1, "b")
+    assert bag.matrix.base is values and values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        bag.instances[0][0] = 2.0
+
+
+def test_float32_bags_score_as_their_float64_cast(tmp_path, rng):
+    manifest, _ = write_split(tmp_path, rng, [3, 5, 2, 4], dim=6)
+    bags = list(load_dataset(manifest).bags)
+    cast = [make_bag(b.feature_matrix(), b.label, b.bag_id) for b in bags]
+    model = init_glorot_normal((6, 5, 1), seed=1)
+    for got, want in zip(bag_maxima(model, bags)[:2], bag_maxima(model, cast)[:2]):
+        assert same_bits(got, want)
+    assert same_bits(bag_maxima(model, bags[1:2])[0], bag_maxima(model, cast[1:2])[0])
+
+
+def test_a_csv_file_among_mil1_files_loads_its_values(tmp_path, rng):
+    manifest, paths = write_split(tmp_path, rng, [3, 4, 2], csv=(1,))
+    bags = load_dataset(manifest).bags
+    assert bags[1].matrix.base is bags[0].matrix.base
+    for bag, path in zip(bags, paths, strict=True):
+        assert same_bits(bag.feature_matrix(), read_features(path).values.astype(np.float64))
+
+
+def test_a_loaded_and_scored_split_holds_about_its_float32_payload(tmp_path):
+    manifest = synthesize_dataset(
+        SynthConfig(dim=1024, n_pos_bags=8, n_neg_bags=8, instances_per_bag=16, seed=0), tmp_path)
+    payload = 16 * 16 * 1024 * 4
+    model = init_glorot_normal((1024, 8, 1), seed=0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        dataset = load_dataset(manifest, "train")
+        load_peak = tracemalloc.get_traced_memory()[1] - base
+        score_bags(model, list(dataset.bags))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.1 * payload  # two float64 copies held 4.04x
+    assert load_peak <= 1.3 * payload  # one buffer, sized before any payload is read

@@ -485,6 +485,36 @@ def test_train_without_test_split_skips_validation(tmp_path, capsys):
     assert "validation AUC" not in out
 
 
+def _short_payload(data):
+    return data[:-4]
+
+
+def _nan_payload(data):
+    return data[:12] + np.full((5, 6), np.nan, dtype="<f4").tobytes()
+
+
+def _three_dims(data):
+    return struct.pack("<4sII", b"MIL1", 3, 5) + np.zeros((5, 3), dtype="<f4").tobytes()
+
+
+@pytest.mark.parametrize("name, damage, code, message", [
+    ("train-pos-0001.mil1", _short_payload, 2, "payload size mismatch"),
+    ("train-pos-0002.mil1", _nan_payload, 1, "feature file contains non-finite values"),
+    ("train-pos-0001.mil1", _three_dims, 1, "dim 3 differs"),
+])
+def test_a_bad_file_in_a_split_exits_naming_it(tmp_path, capsys, name, damage, code, message):
+    data = tmp_path / "data"
+    run_cli(capsys, *gen_args(data))
+    path = data / name
+    path.write_bytes(damage(path.read_bytes()))
+    got, _, err = run_cli(
+        capsys, "train", "--manifest", str(data / "manifest.jsonl"), "--epochs", "1",
+        "--batch-bags", "4", "--hidden", "4", "--out", str(tmp_path / "m.mvck"),
+    )
+    assert got == code
+    assert f"{path}: " in err and message in err
+
+
 def test_nan_in_test_split_exits_one(tmp_path, capsys):
     data = tmp_path / "data"
     run_cli(capsys, *gen_args(data, **{"pos_test": 2, "neg_test": 2}))

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from milvid.evaluation import (
     roc_auc,
     score_bags,
 )
-from milvid.scorer import forward_batch, init_glorot_normal
+from milvid.scorer import Workspace, forward_batch, init_glorot_normal
 
 from conftest import UFUNC_BUFFER_BYTES, make_bag, random_bags, traced_peak, value_scorer
 
@@ -248,11 +250,34 @@ def test_score_bags_across_slices_equals_per_bag_scores(rng):
     assert score_bags(model, []) == []
 
 
+class CountingWorkspace(Workspace):
+    """A workspace that counts, per name, how often it allocates a buffer."""
+
+    def __init__(self):
+        super().__init__()
+        self.allocations = Counter()
+
+    def get(self, name, shape):
+        before = self._buffers.get(name)
+        out = super().get(name, shape)
+        self.allocations[name] += self._buffers[name] is not before
+        return out
+
+
+def test_score_bags_over_rising_slice_sizes_reallocates_each_buffer_rarely(rng):
+    model = init_glorot_normal((8, 16, 1), seed=0)
+    # slice k holds 16 bags of k + 1 clips: 16, 32, 48, ..., 256 stacked rows
+    bags = [make_bag(rng.normal(size=(k + 1, 8)), 1, f"b{k}.{i}") for k in range(16) for i in range(16)]
+    work = CountingWorkspace()
+    score_bags(model, bags, work)
+    assert {"x", "z0", "a0", "z1", "a1"} <= set(work.allocations)
+    # grown to at least twice its size: 16, 32, 64, 128 and 256 rows; exact sizes made 16
+    assert max(work.allocations.values()) == 5
+
+
 def test_score_bags_slices_after_the_first_allocate_almost_nothing(rng, monkeypatch):
     model = init_glorot_normal((64, 512, 32, 1), seed=0)
     bags = random_bags(rng, 48, 32, 64)  # three slices of 16 bags, 512 rows each
-    for bag in bags:
-        bag.feature_matrix()
     real, peaks = evaluation.bag_maxima, []
 
     def measured(*args, **kwargs):

@@ -69,6 +69,30 @@ def test_round_trip_property(tmp_path_factory, count, dim, seed):
     assert np.array_equal(read_features(path).values, m.values)
 
 
+def test_read_split_puts_the_files_back_to_back_in_one_read_only_array(tmp_path, rng):
+    matrices = [_random_matrix(rng, count, 3) for count in (2, 0, 4)]
+    paths = [tmp_path / f"{i}.mil1" for i in range(3)]
+    for m, path in zip(matrices, paths):
+        write_features(m, path)
+    values, spans = feature_store.read_split(paths)
+    assert spans == [(0, 2), (2, 2), (2, 6)]
+    assert values.dtype == np.float32 and not values.flags.writeable
+    assert np.array_equal(values, np.concatenate([m.values for m in matrices]))
+    with pytest.raises(ValidationError, match="at least one feature file"):
+        feature_store.read_split([])
+
+
+def test_read_split_checks_every_header_before_reading_a_payload(tmp_path, rng):
+    nan, short = tmp_path / "nan.mil1", tmp_path / "short.mil1"
+    nan.write_bytes(struct.pack("<4sII", b"MIL1", 3, 1) + np.full(3, np.nan, dtype="<f4").tobytes())
+    write_features(_random_matrix(rng, 2, 3), short)
+    short.write_bytes(short.read_bytes()[:-1])
+    with pytest.raises(CorruptionError, match="short.mil1: payload size mismatch"):
+        feature_store.read_split([nan, short])
+    with pytest.raises(ValidationError, match="nan.mil1: feature file contains non-finite"):
+        feature_store.read_split([nan])
+
+
 def test_bad_magic_is_format_error(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"XXXX" + b"\x00" * 16)

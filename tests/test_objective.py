@@ -255,8 +255,6 @@ def test_a_steady_state_training_step_allocates_almost_nothing(rng):
     # backward runs over 64 rows, and a hidden-layer array made afresh is 256 KB
     model = init_glorot_normal((64, 512, 32, 1), seed=0)
     bags = random_bags(rng, 64, 8, 64)
-    for bag in bags:
-        bag.feature_matrix()  # cached per bag, as over a training run
     optimizer = make_optimizer(OptimizerConfig(kind="adam"))
     work, grad = Workspace(), np.empty_like(model.theta)
 
