@@ -298,8 +298,8 @@ def _threshold(args, model) -> float:
 def _cmd_score(args) -> int:
     model = load_model(args.model)
     m = read_features(args.features)
-    bag = assemble_bag(m, label=1, bag_id=Path(args.features).name)
-    scores, _ = forward_batch(model, bag.feature_matrix())
+    assemble_bag(m, label=1, bag_id=Path(args.features).name)  # refuses a video of no clips
+    scores, _ = forward_batch(model, m.values)  # casts the float32 rows to float64, exactly
     threshold = _threshold(args, model)
     top = float(scores.max())
     verdict = "+1" if top > threshold else "-1"

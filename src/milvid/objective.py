@@ -15,6 +15,7 @@ import numpy as np
 
 from .bag_model import Bag
 from .errors import ConfigError, ValidationError
+from .optimizers import _BLOCK
 from .scorer import ForwardTrace, Gradients, ScoringModel, Workspace, backward, forward_batch
 
 
@@ -85,9 +86,13 @@ def objective_gradient(
 
     One backward pass runs over the argmax rows of the bags with a violated
     margin, each with upstream ``-Y / z``; the L2 term adds ``lam * W`` to
-    each weight gradient. The gradient fills ``out`` and the scratch goes
-    to ``work`` when given (see ``backward``); a trainer that passes the
-    same two on every step allocates nothing large after the first.
+    each weight gradient, walking the flat weights in blocks of ``_BLOCK``
+    entries through one block of scratch, so the sum stays in cache and each
+    entry gets the same bits as the whole-matrix ``gw + lam * w``. The
+    value's ``||W||^2`` is one scratch-free pass (``weight_sq_norm``). The
+    gradient fills ``out`` and the scratch goes to ``work`` when given (see
+    ``backward``); a trainer that passes the same two on every step
+    allocates nothing large after the first, and nothing of W0's size.
     """
     if lam < 0:
         raise ConfigError(f"regularization strength must be >= 0, got {lam}")
@@ -99,11 +104,16 @@ def objective_gradient(
     index = rows - np.cumsum([0] + [len(bag) for bag in bags[:-1]])
     details = zip(scores.tolist(), index.tolist(), margins.tolist(), hinges.tolist())
     losses = [BagLoss(bag.bag_id, *d) for bag, d in zip(bags, details)]
-    value = sum(hinges.tolist()) / len(bags) + lam * 0.5 * model.weight_sq_norm(work)
+    value = sum(hinges.tolist()) / len(bags) + lam * 0.5 * model.weight_sq_norm()
     # each bag's upstream on its argmax row: -Y/z when its hinge is active, else 0
     upstream = np.where(hinges > 0.0, -labels / len(bags), 0.0)
     active = np.flatnonzero(upstream)
     grads = backward(model, trace.select(rows[active], work), upstream[active], out=out, work=work)
+    # gw += lam * w, one cache-sized block of the flat views at a time
+    scratch = work.get("l2", (min(_BLOCK, max(w.size for w in model.weights)),))
     for gw, w in zip(grads.weights, model.weights):
-        gw += np.multiply(lam, w, out=work.get("weight", w.shape))
+        gw, w = gw.reshape(-1), w.reshape(-1)
+        for lo in range(0, w.size, _BLOCK):
+            block = w[lo : lo + _BLOCK]
+            gw[lo : lo + block.size] += np.multiply(lam, block, out=scratch[: block.size])
     return value, losses, grads

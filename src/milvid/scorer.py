@@ -121,7 +121,10 @@ class Workspace:
     shapes (slices of bags of mixed length) reallocate a logarithmic number
     of times. A caller that keeps one workspace across calls of one shape
     allocates nothing after the first; what a call wrote into it is valid
-    only until the next call that uses the same workspace.
+    only until the next call that uses the same workspace. The buffers are
+    sized by the rows of a batch, plus one block of the L2 gradient's
+    scratch; none is sized by a weight matrix, so the arrays of W0's size
+    in a training run are ``theta``, the gradient and the optimizer slots.
     """
 
     def __init__(self) -> None:
@@ -185,11 +188,14 @@ class ScoringModel(FlatParams):
         """The flat parameter vector the optimizers update in place."""
         return self.vector
 
-    def weight_sq_norm(self, work: Workspace | None = None) -> float:
-        """Sum of squared weight entries, biases excluded; squares go to ``work``'s scratch."""
-        work = Workspace() if work is None else work
-        return float(sum(np.sum(np.multiply(w, w, out=work.get("weight", w.shape)))
-                         for w in self.weights))
+    def weight_sq_norm(self) -> float:
+        """Sum of squared weight entries, biases excluded.
+
+        One ``einsum`` pass per weight matrix, with no scratch array. Not
+        ``np.dot``/``np.vdot``: BLAS splits that sum across threads, so its
+        last bits would depend on the thread count.
+        """
+        return float(sum(np.einsum("ij,ij->", w, w) for w in self.weights))
 
     @property
     def default_threshold(self) -> float:

@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 
 import milvid
 from milvid import cli
-from milvid.checkpoint import pack_container, save_model, unpack_container
-from milvid.feature_store import FeatureMatrix, write_features
-from milvid.scorer import init_glorot_normal
+from milvid.bag_model import assemble_bag
+from milvid.checkpoint import load_model, pack_container, save_model, unpack_container
+from milvid.feature_store import FeatureMatrix, read_features, write_features
+from milvid.scorer import forward_batch, init_glorot_normal
 
 from conftest import mvck_frame
 
@@ -136,6 +137,32 @@ def test_score_emits_one_row_per_clip_plus_verdict(tmp_path, capsys, rng):
     verdicts = [l for l in lines if l.startswith("#")]
     assert len(data_rows) == 30
     assert len(verdicts) == 1 and "verdict=" in verdicts[0]
+
+
+def test_score_prints_the_bytes_of_the_float64_bag_matrix_scores(tmp_path, capsys, rng):
+    model = init_glorot_normal((64, 32, 8, 1), seed=5)
+    model.theta[:] += rng.normal(scale=0.1, size=model.theta.size)
+    model_path, features = tmp_path / "m.mvck", tmp_path / "clip.mil1"
+    save_model(model, model_path)
+    write_features(FeatureMatrix(rng.normal(size=(17, 64)).astype(np.float32)), features)
+    code, out, _ = run_cli(capsys, "score", "--model", str(model_path), "--features", str(features))
+    assert code == 0
+    # the stdout of scoring the bag's float64 feature matrix
+    bag = assemble_bag(read_features(features), label=1, bag_id="clip.mil1")
+    scores, _ = forward_batch(load_model(model_path), bag.feature_matrix())
+    top = float(scores.max())
+    want = ["clip,score", *(f"{i},{s:.10g}" for i, s in enumerate(scores)),
+            f"# bag_score={top:.10g} threshold={0.5:.10g} verdict={'+1' if top > 0.5 else '-1'}"]
+    assert out == "\n".join(want) + "\n"
+
+
+def test_score_refuses_a_video_of_no_clips(tmp_path, capsys):
+    model_path, features = tmp_path / "m.mvck", tmp_path / "empty.mil1"
+    save_model(init_glorot_normal((6, 8, 1), seed=0), model_path)
+    write_features(FeatureMatrix(np.zeros((0, 6), dtype=np.float32)), features)
+    code, out, err = run_cli(capsys, "score", "--model", str(model_path), "--features", str(features))
+    assert code == 1 and out == ""
+    assert err.strip() == "milvid: error: bag 'empty.mil1' has no instances"
 
 
 def test_compare_emits_table_shaped_report(workspace, capsys):

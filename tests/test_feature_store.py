@@ -370,3 +370,29 @@ def test_read_manifest_arbitrary_bytes_returns_entries_or_milvid_error(tmp_path_
         return
     assert all(isinstance(e, ManifestEntry) for e in entries)
     assert len({e.bag_id for e in entries}) == len(entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    counts=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+    dim=st.integers(1, 4),
+    seed=st.integers(0, 2**31),
+    data=st.data(),
+)
+def test_read_split_with_bytes_after_one_valid_file_reads_it_or_names_it(
+    tmp_path_factory, counts, dim, seed, data
+):
+    rng = np.random.default_rng(seed)
+    folder = tmp_path_factory.mktemp("split")
+    paths = [folder / f"{i}.mil1" for i in range(len(counts))]
+    for count, path in zip(counts, paths):
+        write_features(_random_matrix(rng, count, dim), path)
+    bad = paths[data.draw(st.integers(0, len(paths) - 1), label="bad file")]
+    bad.write_bytes(bad.read_bytes() + data.draw(st.binary(max_size=64), label="appended"))
+    try:
+        values, spans = feature_store.read_split(paths)
+    except MilvidError as exc:
+        assert str(bad) in str(exc)
+        return
+    assert np.array_equal(values, np.concatenate([read_features(p).values for p in paths]))
+    assert [b - a for a, b in spans] == [len(read_features(p).values) for p in paths]

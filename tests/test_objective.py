@@ -4,7 +4,7 @@ import pytest
 from milvid.errors import ConfigError, ValidationError
 from milvid.evaluation import score_bags
 from milvid.objective import BagLoss, bag_maxima, bag_score, objective_gradient
-from milvid.optimizers import OptimizerConfig, make_optimizer
+from milvid.optimizers import _BLOCK, OptimizerConfig, make_optimizer
 from milvid.scorer import (
     ACTIVATIONS, Gradients, Workspace, backward, forward_batch, init_glorot_normal,
 )
@@ -265,3 +265,34 @@ def test_a_steady_state_training_step_allocates_almost_nothing(rng):
 
     step(0)
     assert traced_peak(lambda: step(1)) < 64 * 1024 + UFUNC_BUFFER_BYTES
+
+
+def test_blocked_l2_gradient_equals_the_whole_matrix_sum_bit_for_bit(rng):
+    # W0 is 250 x 300 = 75,000 entries: two full blocks and a partial one
+    model = init_glorot_normal((300, 250, 3, 1), seed=4)
+    assert 2 * _BLOCK < model.weights[0].size < 3 * _BLOCK
+    bags, lam = random_bags(rng, 6, 4, 300), 0.01
+    scores, rows, trace = bag_maxima(model, bags)
+    labels = np.array([bag.label for bag in bags], dtype=np.float64)
+    upstream = np.where(1.0 - labels * scores > 0.0, -labels / len(bags), 0.0)
+    active = np.flatnonzero(upstream)
+    want = backward(model, trace.select(rows[active]), upstream[active])
+    for gw, w in zip(want.weights, model.weights):
+        gw += lam * w
+    assert same_bits(objective_gradient(model, bags, lam)[2].vector, want.vector)
+    work, out = Workspace(), np.full(model.theta.size, np.nan)
+    # a smaller model first, so the L2 scratch grows on the second call
+    small = init_glorot_normal((6, 8, 4, 1), seed=3)
+    objective_gradient(small, random_bags(rng, 2, 3, 6), lam, work=work)
+    for _ in range(2):
+        grads = objective_gradient(model, bags, lam, work=work, out=out)[2]
+        assert grads.vector is out and same_bits(out, want.vector)
+    # the workspace holds batch-sized buffers and one L2 block, nothing of W0's size
+    assert max(buf.size for buf in work._buffers.values()) < model.weights[0].size
+
+
+def test_weight_sq_norm_is_the_sum_of_squares(rng):
+    model = init_glorot_normal((300, 250, 3, 1), seed=4)
+    model.theta[:] += rng.normal(size=model.theta.size)
+    want = sum(float(np.sum(w * w)) for w in model.weights)
+    assert abs(model.weight_sq_norm() - want) <= 1e-12 * want
