@@ -8,9 +8,10 @@ implemented by :func:`infer_bag_label`.
 
 A bag's instances are the rows of its read-only 2-d ``matrix``. A loaded
 split reads every feature file into one float32 array, and each of its bags
-holds a view of its own rows; pooled bags hold float64 means. The math runs
-in float64: ``feature_matrix`` and ``objective.bag_maxima`` cast the rows,
-which is exact.
+holds a view of its own rows. A pooled bag holds float64 only where a
+segment averages rows; repeated segments keep the stored rows and their
+dtype. The math runs in float64: ``feature_matrix`` and
+``objective.bag_maxima`` cast the rows, which is exact.
 """
 
 from __future__ import annotations
@@ -86,32 +87,34 @@ def assemble_bag(m: FeatureMatrix, label: int, bag_id: str) -> Bag:
 
 
 def pool_segments(bag: Bag, num_segments: int) -> Bag:
-    """Pool a bag's instances into exactly ``num_segments`` float64 mean segments.
+    """Pool a bag's instances into exactly ``num_segments`` segments.
 
     Segment ``j`` averages the source rows with indices in
-    ``[floor(j*n/S), floor((j+1)*n/S))``: one ``np.add.reduce`` per segment
-    in float64, then a divide by its row count, the same bits as
-    ``.mean(axis=0)`` on the rows cast to float64. When S equals n, each
+    ``[floor(j*n/S), floor((j+1)*n/S))``. When S is below n, the rows are
+    cast to float64 once (no copy for float64 rows), and each segment is one
+    ``np.add.reduce`` on that array and a divide by its row count: the same
+    bits as ``.mean(axis=0)`` on the float64 cast. When S equals n, each
     segment is one row, so the bag itself is returned, uncopied. When S
     exceeds n, that range holds at most one row, so segment ``j`` repeats
-    row ``floor(j*n/S)`` and nothing is averaged. Label and bag id carry over.
+    row ``floor(j*n/S)``: the stored rows are gathered in their own dtype
+    (float32 for a loaded split) and nothing is averaged. Label and bag id
+    carry over.
     """
     if num_segments < 1:
         raise ValidationError("segment count must be >= 1")
     n = len(bag)
     if n == num_segments:
         return bag
-    rows = bag.matrix
     j = np.arange(num_segments)
     lo = j * n // num_segments
-    if n < num_segments:
-        pooled = rows[lo].astype(np.float64)
-    else:
-        hi = (j + 1) * n // num_segments  # n / S > 1, so every range holds a row
-        pooled = np.empty((num_segments, bag.dim))
-        for k, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
-            np.add.reduce(rows[a:b], axis=0, dtype=np.float64, out=pooled[k])
-        pooled /= (hi - lo)[:, None]
+    if n < num_segments:  # plain repeats: the stored rows, as they are
+        return Bag(bag_id=bag.bag_id, label=bag.label, matrix=bag.matrix[lo])
+    hi = (j + 1) * n // num_segments  # n / S > 1, so every range holds a row
+    rows = bag.matrix.astype(np.float64, copy=False)
+    pooled = np.empty((num_segments, bag.dim))
+    for k, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+        np.add.reduce(rows[a:b], axis=0, out=pooled[k])
+    pooled /= (hi - lo)[:, None]
     return Bag(bag_id=bag.bag_id, label=bag.label, matrix=pooled)
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from milvid import cli
 from milvid.bag_model import (
     Bag,
     assemble_bag,
@@ -15,8 +16,9 @@ from milvid.bag_model import (
     pool_bags,
     pool_segments,
 )
+from milvid.checkpoint import save_model
 from milvid.errors import ValidationError
-from milvid.evaluation import score_bags
+from milvid.evaluation import evaluate_bags, score_bags
 from milvid.feature_store import (
     FeatureMatrix,
     ManifestEntry,
@@ -112,8 +114,11 @@ def test_pool_one_dim_equals_the_loop_reference_within_rounding(n, s, seed):
        seed=st.integers(0, 2**31))
 def test_pool_of_float32_rows_equals_the_reference_on_their_float64_cast(n, s, d, seed):
     rows = scaled_rows(n, d, seed).astype(np.float32)
-    pooled = pool_segments(Bag("bag", 1, rows), s)
-    assert pooled.matrix.dtype == (np.float32 if n == s else np.float64)
+    bag = Bag("bag", 1, rows)
+    pooled = pool_segments(bag, s)
+    # repeats keep the stored float32 rows; only a mean needs float64
+    assert pooled.matrix.dtype == (np.float64 if n > s else np.float32)
+    assert (pooled is bag) == (n == s)
     assert not pooled.matrix.flags.writeable
     assert pooled.feature_matrix().tobytes() == loop_pool(rows.astype(np.float64), s).tobytes()
 
@@ -150,6 +155,47 @@ def test_pool_bags_pools_each_bag_or_none(rng):
     assert [b.bag_id for b in pooled] == ["a", "b"]
     for got, want in zip(pooled, expected):
         assert np.array_equal(got.feature_matrix(), want.feature_matrix())
+
+
+def test_repeated_segments_hold_no_float64_copy(tmp_path, rng):
+    manifest, _ = write_split(tmp_path, rng, [3], dim=64)
+    pooled = pool_segments(load_dataset(manifest).bags[0], 32)
+    assert pooled.matrix.dtype == np.float32 and pooled.matrix.nbytes == 32 * 64 * 4
+    bags = [Bag(f"b{i}", 1, rng.normal(size=(8, 64)).astype(np.float32)) for i in range(100)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pooled = pool_bags(bags, 32)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(pooled) == 100
+    assert held < 100 * 32 * 64 * 8  # the float64 copies alone would take this
+
+
+def reference_pool_bags(bags, segments):
+    """``pool_bags`` through the float64 ``loop_pool`` reference."""
+    return [make_bag(loop_pool(b.feature_matrix(), segments), b.label, b.bag_id) for b in bags]
+
+
+def test_scores_do_not_depend_on_the_pooled_storage(tmp_path, rng, capsys, monkeypatch):
+    # clip counts below, at and above S = 5: repeats, the bag itself, means
+    manifest, _ = write_split(tmp_path, rng, [2, 5, 9, 3, 5, 13, 1, 7], dim=6)
+    bags = load_dataset(manifest).bags
+    model = init_glorot_normal((6, 4, 1), seed=2)
+    assert (evaluate_bags(model, pool_bags(bags, 5)).to_json_dict()
+            == evaluate_bags(model, reference_pool_bags(bags, 5)).to_json_dict())
+    save_model(model, tmp_path / "model.mvck")
+    outputs = []
+    for pool in (pool_bags, reference_pool_bags):
+        monkeypatch.setattr(cli, "pool_bags", pool)
+        for command in ("eval", "roc"):
+            code = cli.main([command, "--model", str(tmp_path / "model.mvck"),
+                             "--manifest", str(manifest), "--split", "train", "--segments", "5"])
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+    assert outputs[:2] == outputs[2:]
 
 
 def test_bag_label_existential_rule():
