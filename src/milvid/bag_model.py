@@ -16,6 +16,7 @@ dtype. The math runs in float64: ``feature_matrix`` and
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -151,7 +152,9 @@ def load_dataset(manifest_path: str | Path, split: str | None = None) -> Dataset
         raise ValidationError(
             f"{manifest_path}: no bags found" + (f" for split {split!r}" if split else "")
         )
-    values, spans = read_split([manifest_path.parent / e.path for e in entries])
+    # "" for a bare name, so a file is named as ``manifest_path.parent / e.path`` names it
+    base = os.path.dirname(manifest_path)
+    values, spans = read_split([os.path.join(base, e.path) for e in entries])
     bags = tuple(Bag(bag_id=e.bag_id, label=e.label, matrix=values[a:b])
                  for e, (a, b) in zip(entries, spans))
     return Dataset(bags=bags, dim=values.shape[1])

@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, CorruptionError, FormatError
+from .feature_store import readinto_all
 from .optimizers import BETA1, BETA2, EPS, RHO, Optimizer, OptimizerConfig, make_optimizer
 from .scorer import FlatParams, ScorerConfig, ScoringModel
 
@@ -173,8 +174,21 @@ def save_model(model: ScoringModel, path: str | Path) -> None:
     _write_atomic(path, serialize_model(model))
 
 
+def _read_container(path: str | Path) -> memoryview:
+    """The file's bytes, read unbuffered into one numpy byte buffer.
+
+    ``unpack_container`` returns views of it at offset 12+H, mostly
+    misaligned; ``ScoringModel`` and the optimizer slots copy what they keep
+    into aligned arrays.
+    """
+    with open(path, "rb", buffering=0) as fh:
+        buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+        got = readinto_all(fh, buf)
+    return memoryview(buf)[:got]
+
+
 def load_model(path: str | Path) -> ScoringModel:
-    return deserialize_model(Path(path).read_bytes())
+    return deserialize_model(_read_container(path))
 
 
 # update-rule constants a checkpoint records; a different value is another run
@@ -213,7 +227,7 @@ def save_train_checkpoint(
 
 def load_train_checkpoint(path: str | Path) -> tuple[ScoringModel, Optimizer, dict]:
     """Read what ``save_train_checkpoint`` wrote; any other header is a FormatError."""
-    header, arrays = unpack_container(Path(path).read_bytes())
+    header, arrays = unpack_container(_read_container(path))
     if header.get("kind") != "train":
         raise FormatError(f"container holds {header.get('kind')!r}, not a training checkpoint")
     model = _model_from(header, arrays)

@@ -75,11 +75,16 @@ def write_features(m: FeatureMatrix, dest: str | Path) -> None:
 
 
 def read_features(src: str | Path) -> FeatureMatrix:
-    """Read a MIL1 feature file, falling back to CSV for text files."""
-    with open(src, "rb") as fh:
-        shape = _mil1_shape(fh, src)
-        if shape is None:
-            return _parse_csv(fh.read(), src)
+    """Read a MIL1 feature file, falling back to CSV for text files.
+
+    The file is opened once, unbuffered: a 12-byte header read and an
+    ``fstat`` check its shape, and the payload is read straight into the
+    returned array.
+    """
+    with open(src, "rb", buffering=0) as fh:
+        shape = _read_head(fh, src)
+        if isinstance(shape, FeatureMatrix):
+            return shape
         values = np.empty(shape, dtype="<f4")
         _read_payload(fh, values, src)
     return _checked(values, src, "feature file")
@@ -90,18 +95,22 @@ def read_split(paths: list[str | Path]) -> tuple[np.ndarray, list[tuple[int, int
 
     Every header is read first, and text files are parsed then, so the array
     is allocated once at its final size before any MIL1 payload is read into
-    it. Returns the array and each file's ``(start, stop)`` rows in it. All
-    files must share one dim; errors name the file, as ``read_features``'s do.
+    it. A MIL1 file costs two unbuffered opens and no wrapper object: a
+    12-byte header read and an ``fstat`` in the first pass, one read straight
+    into its rows of the array and a finiteness check of those rows in the
+    second. Returns the array and each file's ``(start, stop)`` rows in it.
+    All files must share one dim; errors name the file, as
+    ``read_features``'s do.
     """
     if not paths:
         raise ValidationError("read_split needs at least one feature file")
     shapes, texts = [], {}  # texts: index -> values of a parsed text file
     for i, src in enumerate(paths):
-        with open(src, "rb") as fh:
-            shape = _mil1_shape(fh, src)
-            if shape is None:
-                texts[i] = _parse_csv(fh.read(), src).values
-                shape = texts[i].shape
+        with open(src, "rb", buffering=0) as fh:
+            shape = _read_head(fh, src)
+        if isinstance(shape, FeatureMatrix):
+            texts[i] = shape.values
+            shape = texts[i].shape
         if shapes and shape[1] != shapes[0][1]:
             raise ValidationError(f"{src}: dim {shape[1]} differs from dim {shapes[0][1]} "
                                   f"of {paths[0]}")
@@ -113,25 +122,27 @@ def read_split(paths: list[str | Path]) -> tuple[np.ndarray, list[tuple[int, int
         if i in texts:
             values[a:b] = texts[i]
             continue
-        with open(src, "rb") as fh:
+        rows = values[a:b]
+        with open(src, "rb", buffering=0) as fh:
             fh.seek(_HEADER.size)
-            _read_payload(fh, values[a:b], src)
-        _checked(values[a:b], src, "feature file")
+            _read_payload(fh, rows, src)
+        if not np.isfinite(rows).all():  # the message ``read_features`` gives
+            raise ValidationError(f"{src}: feature file contains non-finite values")
     values.flags.writeable = False
     return values, spans
 
 
-def _mil1_shape(fh, src: str | Path) -> tuple[int, int] | None:
-    """The ``(count, dim)`` a MIL1 file's header declares, checked against the
-    file's size; ``fh`` is left at the payload. None, with nothing read, when
-    the file does not start with the magic."""
-    if fh.peek(len(MAGIC))[: len(MAGIC)] != MAGIC:
-        return None
-    header = fh.read(_HEADER.size)
-    if len(header) < _HEADER.size:
+def _read_head(fh, src: str | Path) -> tuple[int, int] | FeatureMatrix:
+    """The ``(count, dim)`` a MIL1 file's header declares, checked against
+    the file's size, with ``fh``, an unbuffered file, left at the payload. A
+    file that does not start with the magic is parsed whole as text."""
+    head = fh.read(_HEADER.size)
+    if head[: len(MAGIC)] != MAGIC:
+        return _parse_csv(head + fh.read(), src)
+    if len(head) < _HEADER.size:
         raise CorruptionError(f"{src}: truncated header, expected at least "
-                              f"{_HEADER.size} bytes, got {len(header)}")
-    _, dim, count = _HEADER.unpack(header)
+                              f"{_HEADER.size} bytes, got {len(head)}")
+    _, dim, count = _HEADER.unpack(head)
     if dim < 1:
         raise FormatError(f"{src}: header declares dim={dim}, must be >= 1")
     actual = os.fstat(fh.fileno()).st_size - _HEADER.size
@@ -140,9 +151,22 @@ def _mil1_shape(fh, src: str | Path) -> tuple[int, int] | None:
     return count, dim
 
 
+def readinto_all(fh, buf: np.ndarray) -> int:
+    """Read from ``fh`` into the C-contiguous ``buf`` until it is full or the
+    file ends; returns the bytes read. An unbuffered read may return short
+    (Linux reads at most about 2 GiB a call), so this loops."""
+    got = fh.readinto(buf)
+    while 0 < got < buf.nbytes:
+        more = fh.readinto(memoryview(buf).cast("B")[got:])
+        if not more:
+            break
+        got += more
+    return got
+
+
 def _read_payload(fh, out: np.ndarray, src: str | Path) -> None:
     """Fill ``out``, a C-contiguous float32 array, from ``fh``'s current position."""
-    got = fh.readinto(out)
+    got = readinto_all(fh, out)
     if got != out.nbytes:  # the file shrank after its size was checked
         raise _size_mismatch(src, *out.shape, got)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import struct
 import tracemalloc
 import zlib
@@ -43,6 +44,22 @@ def same_bits(a, b):
 # numpy >= 2.3 allocates one iterator buffer of np.getbufsize() entries for a
 # ufunc call that broadcasts (the bias add ``z += b``), however small the arrays
 UFUNC_BUFFER_BYTES = 8 * np.getbufsize()
+
+
+def open_in_pieces(monkeypatch, module) -> list[int]:
+    """Make ``module``'s ``open`` return unbuffered files whose reads into a
+    buffer hand out at most 4096 bytes each, as a raw read may; returns the
+    list of what each such read gave."""
+    reads = []
+
+    class Pieces(io.FileIO):
+        def readinto(self, buf):
+            reads.append(super().readinto(memoryview(buf).cast("B")[:4096]))
+            return reads[-1]
+
+    monkeypatch.setattr(module, "open", lambda src, mode, buffering: Pieces(src, mode),
+                        raising=False)
+    return reads
 
 
 def traced_peak(f):

@@ -1,6 +1,8 @@
 import gc
 import math
+import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,6 +238,22 @@ def test_load_dataset_rejects_mixed_dims(tmp_path, rng):
     )
     with pytest.raises(ValidationError, match="dim"):
         load_dataset(tmp_path / "m.jsonl")
+
+
+@pytest.mark.parametrize("manifest", ["absolute", "m.jsonl", "./m.jsonl", "nested/../m.jsonl"])
+def test_a_bad_file_is_named_as_the_manifest_directory_joined_with_its_path(
+    tmp_path, monkeypatch, manifest
+):
+    (tmp_path / "nested" / "dir").mkdir(parents=True)
+    (tmp_path / "nested" / "dir" / "f.mil1").write_bytes(
+        struct.pack("<4sII", b"MIL1", 2, 1) + np.array([1, np.nan], "<f4").tobytes())
+    write_manifest([ManifestEntry("f", 1, "nested/dir/f.mil1", "train")], tmp_path / "m.jsonl")
+    monkeypatch.chdir(tmp_path)
+    manifest = str(tmp_path / "m.jsonl") if manifest == "absolute" else manifest
+    named = Path(manifest).parent / "nested/dir/f.mil1"
+    with pytest.raises(ValidationError) as failure:
+        load_dataset(manifest)
+    assert str(failure.value) == f"{named}: feature file contains non-finite values"
 
 
 def write_split(tmp_path, rng, counts, dim=4, csv=()):

@@ -15,6 +15,7 @@ import milvid
 from milvid import checkpoint
 from milvid.checkpoint import (
     deserialize_model,
+    load_model,
     load_train_checkpoint,
     pack_container,
     save_model,
@@ -26,7 +27,7 @@ from milvid.errors import FormatError, MilvidError
 from milvid.optimizers import OptimizerConfig, make_optimizer
 from milvid.scorer import init_glorot_normal
 
-from conftest import json_values, mvck_frame
+from conftest import json_values, mvck_frame, open_in_pieces, same_bits
 
 
 def repack(blob: bytes, edit) -> bytes:
@@ -129,6 +130,30 @@ def train_checkpoint(tmp_path):
     path = tmp_path / "ckpt.mvck"
     save_train_checkpoint(path, model, optimizer, {"epoch": 1, "iteration": 2, "seed": 3})
     return path
+
+
+@pytest.mark.parametrize("in_pieces", [False, True])
+def test_loaded_parameters_are_aligned_writeable_copies(tmp_path, monkeypatch, in_pieces):
+    # the payload starts at byte 12+H of the file, so views of the read buffer
+    # would mostly be misaligned; what a loaded model keeps is copied out
+    model = init_glorot_normal((64, 16, 1), seed=0)  # an 8.5 KB payload: three 4 KB pieces
+    optimizer = make_optimizer(OptimizerConfig(kind="adam"))
+    optimizer.step(model.theta, np.ones_like(model.theta))
+    save_model(model, tmp_path / "model.mvck")
+    save_train_checkpoint(tmp_path / "ckpt.mvck", model, optimizer,
+                          {"epoch": 1, "iteration": 2, "seed": 3})
+    if in_pieces:
+        reads = open_in_pieces(monkeypatch, checkpoint)
+    loaded, resumed, _ = load_train_checkpoint(tmp_path / "ckpt.mvck")
+    kept = [(load_model(tmp_path / "model.mvck").theta, model.theta), (loaded.theta, model.theta)]
+    kept += [(resumed.slots[name], optimizer.slots[name]) for name in optimizer.slot_names]
+    for array, saved in kept:
+        assert array.flags.aligned and array.flags.c_contiguous and array.flags.writeable
+        assert array.ctypes.data % array.itemsize == 0
+        assert same_bits(array, saved)
+    if in_pieces:  # each file in 4 KB pieces, and no read past its end
+        assert len(reads) == sum(-(-os.path.getsize(tmp_path / name) // 4096)
+                                   for name in ("model.mvck", "ckpt.mvck"))
 
 
 def test_train_checkpoint_round_trip(train_checkpoint):

@@ -1,5 +1,8 @@
+import io
 import json
 import math
+import os
+import re
 import struct
 import warnings
 from types import SimpleNamespace
@@ -22,7 +25,7 @@ from milvid.feature_store import (
     write_manifest,
 )
 
-from conftest import json_values
+from conftest import json_values, open_in_pieces
 
 
 def _random_matrix(rng, count, dim):
@@ -155,6 +158,78 @@ def test_short_read_is_corruption(tmp_path, rng, monkeypatch):
     monkeypatch.setattr(feature_store, "os", SimpleNamespace(fstat=lambda fd: full_size))
     with pytest.raises(CorruptionError, match="expected 48 bytes .* got 43"):
         read_features(path)
+
+
+def test_a_payload_handed_out_in_pieces_is_read_whole(tmp_path, rng, monkeypatch):
+    matrices = [_random_matrix(rng, count, 64) for count in (40, 1, 17)]  # 10240, 256, 4352 B
+    paths = [tmp_path / f"{i}.mil1" for i in range(3)]
+    for m, path in zip(matrices, paths):
+        write_features(m, path)
+    reads = open_in_pieces(monkeypatch, feature_store)
+    values, _ = feature_store.read_split(paths)
+    assert np.array_equal(values, np.concatenate([m.values for m in matrices]))
+    assert reads == [4096, 4096, 2048, 256, 4096, 256]
+    assert np.array_equal(read_features(paths[0]).values, matrices[0].values)
+
+
+def test_a_file_that_shrinks_between_the_passes_is_corruption(tmp_path, rng, monkeypatch):
+    good, shrinking = tmp_path / "good.mil1", tmp_path / "shrinking.mil1"
+    for path in (good, shrinking):
+        write_features(_random_matrix(rng, 4, 3), path)
+    opened = []
+
+    def open_then_shrink(src, *args, **kwargs):
+        opened.append(src)
+        if opened.count(shrinking) == 2:  # the payload pass, after every header was checked
+            shrinking.write_bytes(shrinking.read_bytes()[:-5])
+        return io.open(src, *args, **kwargs)
+
+    monkeypatch.setattr(feature_store, "open", open_then_shrink, raising=False)
+    message = (f"{shrinking}: payload size mismatch, expected 48 bytes for 4x3 float32 "
+               "values, got 43")
+    with pytest.raises(CorruptionError, match=f"^{re.escape(message)}$"):
+        feature_store.read_split([good, shrinking])
+    assert opened == [good, shrinking, good, shrinking]
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to count")
+@pytest.mark.parametrize(
+    "name, features_error, split_error",  # read_split reads good.mil1, then the named file
+    [
+        ("good.mil1", None, None),
+        ("good.csv", None, None),
+        ("missing.mil1", FileNotFoundError, FileNotFoundError),
+        ("truncated.mil1", CorruptionError, CorruptionError),
+        ("short.mil1", CorruptionError, CorruptionError),
+        ("wide.mil1", None, ValidationError),  # dim 4 after dim 3
+        ("nan.mil1", ValidationError, ValidationError),
+        ("bad.csv", FormatError, FormatError),
+    ],
+)
+def test_no_file_descriptor_is_left_open(tmp_path, rng, name, features_error, split_error):
+    good = tmp_path / "good.mil1"
+    write_features(_random_matrix(rng, 2, 3), good)
+    (tmp_path / "good.csv").write_text("1.0,2.0,3.0\n")
+    (tmp_path / "truncated.mil1").write_bytes(b"MIL1\x03\x00")
+    (tmp_path / "short.mil1").write_bytes(good.read_bytes()[:-1])
+    write_features(_random_matrix(rng, 2, 4), tmp_path / "wide.mil1")
+    (tmp_path / "nan.mil1").write_bytes(
+        struct.pack("<4sII", b"MIL1", 3, 1) + np.array([1, np.nan, 2], "<f4").tobytes())
+    (tmp_path / "bad.csv").write_text("not,numbers\n")
+    path = tmp_path / name
+    for read, error in ((lambda: read_features(path), features_error),
+                        (lambda: feature_store.read_split([good, path]), split_error)):
+        before = _open_fds()
+        if error is None:
+            read()
+        else:
+            with pytest.raises(error) as failure:  # holds the traceback, and so its frames
+                read()
+        assert _open_fds() == before
 
 
 def test_nonfinite_matrix_rejected_on_construction():
