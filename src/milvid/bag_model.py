@@ -10,8 +10,9 @@ A bag's instances are the rows of its read-only 2-d ``matrix``. A loaded
 split reads every feature file into one float32 array, and each of its bags
 holds a view of its own rows. A pooled bag holds float64 only where a
 segment averages rows; repeated segments keep the stored rows and their
-dtype. The math runs in float64: ``feature_matrix`` and
-``objective.bag_maxima`` cast the rows, which is exact.
+dtype. The math runs in float64: ``feature_matrix``,
+``objective.bag_maxima`` and ``evaluation.score_bags`` cast the rows, which
+is exact.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .feature_store import FeatureMatrix, read_manifest, read_split
+from .feature_store import FeatureMatrix, ManifestEntry, read_manifest, read_split
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,8 +145,14 @@ def load_dataset(manifest_path: str | Path, split: str | None = None) -> Dataset
     read-only float32 array (``feature_store.read_split``); each bag's
     matrix is a view of its file's rows in it.
     """
+    return dataset_of(manifest_path, read_manifest(manifest_path), split)
+
+
+def dataset_of(manifest_path: str | Path, entries: list[ManifestEntry],
+               split: str | None = None) -> Dataset:
+    """``load_dataset`` of the manifest whose entries are already read, so a
+    caller that loads several splits parses it once."""
     manifest_path = Path(manifest_path)
-    entries = read_manifest(manifest_path)
     if split is not None:
         entries = [e for e in entries if e.split == split]
     if not entries:

@@ -19,13 +19,13 @@ import os
 import sys
 from pathlib import Path
 
-from .bag_model import assemble_bag, load_dataset, pool_bags
+from .bag_model import assemble_bag, dataset_of, load_dataset, pool_bags
 from .checkpoint import load_model, save_model
 from .errors import ConfigError, FormatError, MilvidError, TrainingAbort, ValidationError
 from .evaluation import evaluate_bags, roc_auc, score_bags
 from .feature_store import SynthConfig, read_features, read_manifest, synthesize_dataset
 from .optimizers import KINDS, OptimizerConfig
-from .scorer import forward_batch
+from .scorer import score_rows
 from .trainer import CHECKPOINT_NAME, TrainConfig, compare_optimizers, train
 
 ENV_DATA_DIR = "MILVID_DATA_DIR"
@@ -235,10 +235,12 @@ def _train_config(args, optimizer_kind: str) -> TrainConfig:
 
 
 def _load_splits(manifest_path):
-    # a manifest without test entries means no validation; any other error propagates
-    train_set = load_dataset(manifest_path, split="train")
-    has_test = any(e.split == "test" for e in read_manifest(manifest_path))
-    return train_set, load_dataset(manifest_path, split="test") if has_test else None
+    # one manifest parse for both splits; a manifest without test entries means
+    # no validation, and any other error propagates
+    entries = read_manifest(manifest_path)
+    train_set = dataset_of(manifest_path, entries, split="train")
+    has_test = any(e.split == "test" for e in entries)
+    return train_set, dataset_of(manifest_path, entries, split="test") if has_test else None
 
 
 def _check_train_outputs(out: Path, log_path: Path) -> None:
@@ -299,7 +301,7 @@ def _cmd_score(args) -> int:
     model = load_model(args.model)
     m = read_features(args.features)
     assemble_bag(m, label=1, bag_id=Path(args.features).name)  # refuses a video of no clips
-    scores, _ = forward_batch(model, m.values)  # casts the float32 rows to float64, exactly
+    scores = score_rows(model, m.values)  # casts the float32 rows to float64, exactly
     threshold = _threshold(args, model)
     top = float(scores.max())
     verdict = "+1" if top > threshold else "-1"

@@ -4,6 +4,10 @@ The decision rule is strict: predict positive iff score > threshold. The
 ROC sweep visits every distinct score once, so tied scores move both class
 counts simultaneously and the trapezoidal AUC equals the pairwise statistic
 P(pos score > neg score) + 0.5 * P(equal).
+
+Bag scores come from ``score_bags``, an eval-only pass: it keeps no trace
+of the forward pass, only one buffer per layer, and takes each bag's
+maximum without an argmax.
 """
 
 from __future__ import annotations
@@ -14,11 +18,10 @@ import numpy as np
 
 from .bag_model import Bag
 from .errors import ValidationError
-from .objective import bag_maxima
-from .scorer import ScoringModel, Workspace
+from .scorer import ScoringModel, Workspace, score_rows
 
 ScoredLabel = tuple[float, int]
-_SCORE_SLICE = 16  # bags per forward pass in score_bags; keeps the stacked copy small
+_SCORE_SLICE = 16  # bags per score_rows call in score_bags; keeps the stacked copy small
 
 
 @dataclass(frozen=True)
@@ -148,13 +151,28 @@ def score_bags(
 ) -> list[ScoredLabel]:
     """Eval-mode bag scores (max over instances) with their true labels.
 
-    Every slice runs on one workspace, ``work`` or a new one, so slices
-    after the first reuse its buffers.
+    Each slice of 16 bags is cast into one stacked float64 buffer and scored
+    by ``score_rows``, which keeps no trace: one buffer per layer. The
+    slice's bag maxima are one ``np.maximum.reduceat`` at the bag starts: the
+    bits ``bag_maxima`` takes at its argmax, and a NaN still wins. (Of a tie
+    between 0.0 and -0.0 ``np.maximum`` may keep either, but no score is
+    -0.0: the BLAS matmul sums from 0.0.) Every slice runs on one
+    workspace, ``work`` or a new one, so slices after the first reuse its
+    buffers.
     """
     work = Workspace() if work is None else work
-    chunks = [bags[i : i + _SCORE_SLICE] for i in range(0, len(bags), _SCORE_SLICE)]
-    return [(s, b.label) for c in chunks
-            for s, b in zip(bag_maxima(model, c, work=work)[0].tolist(), c)]
+    scored = []
+    for i in range(0, len(bags), _SCORE_SLICE):
+        chunk = bags[i : i + _SCORE_SLICE]
+        sizes = [len(bag) for bag in chunk]
+        # the stored rows (float32 when loaded) cast straight into the stacked float64 buffer
+        x = np.concatenate([bag.matrix for bag in chunk],
+                           out=work.get("x", (sum(sizes), chunk[0].dim)))
+        scores = score_rows(model, x, work=work)
+        starts = np.cumsum([0, *sizes[:-1]])
+        maxima = np.maximum.reduceat(scores, starts)
+        scored += zip(maxima.tolist(), (bag.label for bag in chunk))
+    return scored
 
 
 def evaluate_bags(model: ScoringModel, bags: list[Bag], threshold: float | None = None) -> EvalReport:

@@ -60,7 +60,8 @@ def _identity_grad(z, out):
     return out
 
 
-# each function writes f(z) into ``out``, an array of z's shape, and returns it
+# each function writes f(z) into ``out``, an array of z's shape, and returns it;
+# ``out`` may be z itself
 ACTIVATIONS = {
     "relu": (_relu, _relu_grad),
     "sigmoid": (_sigmoid, _sigmoid_grad),
@@ -125,6 +126,8 @@ class Workspace:
     sized by the rows of a batch, plus one block of the L2 gradient's
     scratch; none is sized by a weight matrix, so the arrays of W0's size
     in a training run are ``theta``, the gradient and the optimizer slots.
+    Eval scoring (``score_rows``) keeps no trace: it holds one buffer per
+    layer, the one ``forward_batch`` keeps that layer's pre-activations in.
     """
 
     def __init__(self) -> None:
@@ -255,6 +258,37 @@ class ForwardTrace:
         )
 
 
+def _input_rows(model: ScoringModel, x) -> np.ndarray:
+    """``x`` as float64 rows of the model's input width (a float32 array casts exactly)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.config.input_dim:
+        raise ShapeError(f"input has shape {x.shape}, expected (n, {model.config.input_dim})")
+    return x
+
+
+def score_rows(model: ScoringModel, x: np.ndarray, *, work: Workspace | None = None) -> np.ndarray:
+    """Eval-mode scores of a batch of feature rows, and nothing else.
+
+    The same products and sums, in the same order and shapes, as
+    ``forward_batch(model, x)``, so the scores are its bits. But no trace is
+    kept: each layer's activation overwrites its pre-activation, so a call
+    holds one buffer per layer (``z0``, ``z1``, ...). With ``work``, the
+    scores are a view into the workspace, valid until the next call on it;
+    ``work=None`` gives fresh arrays.
+    """
+    cfg = model.config
+    x = _input_rows(model, x)
+    hidden_f, _ = ACTIVATIONS[cfg.hidden_activation]
+    out_f, _ = ACTIVATIONS[cfg.output_activation]
+    work = Workspace() if work is None else work
+    act = x
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = np.matmul(act, w.T, out=work.get(f"z{l}", (x.shape[0], w.shape[0])))
+        z += b
+        act = (out_f if l == cfg.num_layers - 1 else hidden_f)(z, z)
+    return act[:, 0]
+
+
 def forward_batch(
     model: ScoringModel,
     x: np.ndarray,
@@ -272,9 +306,7 @@ def forward_batch(
     fresh arrays that no other call touches.
     """
     cfg = model.config
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != cfg.input_dim:
-        raise ShapeError(f"input has shape {x.shape}, expected (n, {cfg.input_dim})")
+    x = _input_rows(model, x)
     hidden_f, _ = ACTIVATIONS[cfg.hidden_activation]
     out_f, _ = ACTIVATIONS[cfg.output_activation]
 

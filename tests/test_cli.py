@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import milvid
-from milvid import cli
+from milvid import cli, feature_store
 from milvid.bag_model import assemble_bag
 from milvid.checkpoint import load_model, pack_container, save_model, unpack_container
 from milvid.feature_store import FeatureMatrix, read_features, write_features
@@ -510,6 +510,27 @@ def test_train_without_test_split_skips_validation(tmp_path, capsys):
     )
     assert code == 0
     assert "validation AUC" not in out
+
+
+@pytest.mark.parametrize("command", [["train", "--out"], ["compare", "--optimizers", "sgd", "--out"]])
+def test_train_and_compare_parse_the_manifest_once(tmp_path, capsys, monkeypatch, command):
+    data = tmp_path / "data"
+    run_cli(capsys, *gen_args(data, pos_test=2, neg_test=2))
+    real, calls = feature_store.read_manifest, []
+
+    def counted(path):
+        calls.append(path)
+        return real(path)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("milvid")]:
+        if getattr(module, "read_manifest", None) is real:
+            monkeypatch.setattr(module, "read_manifest", counted)
+    code, out, _ = run_cli(
+        capsys, *command, str(tmp_path / "out"), "--manifest", str(data / "manifest.jsonl"),
+        "--epochs", "1", "--batch-bags", "4", "--hidden", "4",
+    )
+    assert code == 0 and ("validation AUC" in out or "auc_percent" in out)
+    assert len(calls) == 1  # both splits come from one parse
 
 
 def _short_payload(data):

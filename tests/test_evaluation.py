@@ -15,9 +15,17 @@ from milvid.evaluation import (
     roc_auc,
     score_bags,
 )
+from milvid.objective import bag_maxima
 from milvid.scorer import Workspace, forward_batch, init_glorot_normal
 
-from conftest import UFUNC_BUFFER_BYTES, make_bag, random_bags, traced_peak, value_scorer
+from conftest import (
+    UFUNC_BUFFER_BYTES,
+    make_bag,
+    random_bags,
+    same_bits,
+    traced_peak,
+    value_scorer,
+)
 
 
 def pairwise_auc(scored):
@@ -270,7 +278,8 @@ def test_score_bags_over_rising_slice_sizes_reallocates_each_buffer_rarely(rng):
     bags = [make_bag(rng.normal(size=(k + 1, 8)), 1, f"b{k}.{i}") for k in range(16) for i in range(16)]
     work = CountingWorkspace()
     score_bags(model, bags, work)
-    assert {"x", "z0", "a0", "z1", "a1"} <= set(work.allocations)
+    # the stacked rows and one buffer per layer: no activations, no trace
+    assert set(work.allocations) == {"x", "z0", "z1"}
     # grown to at least twice its size: 16, 32, 64, 128 and 256 rows; exact sizes made 16
     assert max(work.allocations.values()) == 5
 
@@ -278,14 +287,52 @@ def test_score_bags_over_rising_slice_sizes_reallocates_each_buffer_rarely(rng):
 def test_score_bags_slices_after_the_first_allocate_almost_nothing(rng, monkeypatch):
     model = init_glorot_normal((64, 512, 32, 1), seed=0)
     bags = random_bags(rng, 48, 32, 64)  # three slices of 16 bags, 512 rows each
-    real, peaks = evaluation.bag_maxima, []
+    stacked, layers = 512 * 64 * 8, 512 * (512 + 32 + 1) * 8  # x; z0, z1 and z2
+    slack = 64 * 1024 + UFUNC_BUFFER_BYTES
+    # the whole call holds the stacked rows and one buffer per layer, and nothing
+    # more: a trace (a0, a1 and a2 beside them) would add another 2.2 MB
+    work = Workspace()
+    whole = traced_peak(lambda: score_bags(model, bags, work))
+    assert sum(buf.nbytes for buf in work._buffers.values()) == stacked + layers
+    assert stacked + layers <= whole < stacked + layers + slack
+
+    real, peaks = evaluation.score_rows, []
 
     def measured(*args, **kwargs):
         result = []
         peaks.append(traced_peak(lambda: result.append(real(*args, **kwargs))))
         return result[0]
 
-    monkeypatch.setattr(evaluation, "bag_maxima", measured)
+    monkeypatch.setattr(evaluation, "score_rows", measured)
     score_bags(model, bags)
-    assert len(peaks) == 3 and peaks[0] > 2 * 512 * 512 * 8  # the first slice fills the buffers
-    assert max(peaks[1:]) < 64 * 1024 + UFUNC_BUFFER_BYTES
+    assert len(peaks) == 3 and layers <= peaks[0] < layers + slack  # the first slice fills them
+    assert max(peaks[1:]) < slack
+
+
+def bag_maxima_scores(model, bags):
+    """The reference: ``bag_maxima``'s argmax scores, over score_bags' 16-bag slices."""
+    return np.concatenate([bag_maxima(model, bags[i : i + 16])[0] for i in range(0, len(bags), 16)])
+
+
+def test_score_bags_gives_bag_maxima_bits_on_ties_nans_and_single_clips():
+    model = value_scorer()
+    rows = [[0.5], [0.2, 0.9, 0.9, 0.1], [0.1, np.nan, 0.9], [np.nan, 0.3], [0.4, np.nan],
+            [-3.0, -3.0], [0.0, 0.0], [np.inf, 1.0, np.inf], [-np.inf], [-np.inf, -2.0]]
+    bags = [make_bag(r, 1 if i % 2 else -1, f"b{i}") for i, r in enumerate(rows * 4)]
+    assert len(bags) % 16  # the last slice is partial
+    scored = score_bags(model, bags)
+    assert [y for _, y in scored] == [bag.label for bag in bags]
+    got = np.array([s for s, _ in scored])
+    assert same_bits(got, bag_maxima_scores(model, bags))
+    assert np.isnan(got[2:5]).all()  # a NaN wins
+
+
+@pytest.mark.parametrize("output", ["sigmoid", "tanh", "identity"])
+def test_score_bags_gives_bag_maxima_bits_through_a_dense_net(rng, output):
+    model = init_glorot_normal((6, 5, 3, 1), seed=2, output_activation=output)
+    model.theta[:] += rng.normal(scale=0.3, size=model.theta.size)
+    bags = [make_bag(rng.normal(size=(1 + i % 5, 6)), 1 if i % 3 else -1, f"b{i}")
+            for i in range(37)]  # three slices of bags, the last one partial
+    bags[4] = make_bag(np.repeat(rng.normal(size=(1, 6)), 3, axis=0), 1, "tied")
+    got = np.array([s for s, _ in score_bags(model, bags)])
+    assert same_bits(got, bag_maxima_scores(model, bags))

@@ -7,6 +7,7 @@ from milvid.checkpoint import deserialize_model, serialize_model
 from milvid.errors import ConfigError, CorruptionError, FormatError, ShapeError
 from milvid.scorer import (
     ACTIVATIONS,
+    OUTPUT_ACTIVATIONS,
     Gradients,
     ScorerConfig,
     ScoringModel,
@@ -15,6 +16,7 @@ from milvid.scorer import (
     forward_batch,
     glorot_std,
     init_glorot_normal,
+    score_rows,
 )
 
 from conftest import chain_model, max_rel_err, numerical_gradient, same_bits
@@ -262,6 +264,35 @@ def test_reused_workspace_gives_the_bits_of_a_fresh_call(rng, hidden, train):
     g_reused = backward(model, reused[1], up, out=out, work=work)
     assert g_reused.vector is out and same_bits(g_reused.vector, g_fresh.vector)
     assert same_bits(g_reused.wrt_input, g_fresh.wrt_input)
+
+
+@pytest.mark.parametrize("rows", [1, 512])
+@pytest.mark.parametrize("output", OUTPUT_ACTIVATIONS)
+@pytest.mark.parametrize("hidden", sorted(ACTIVATIONS))
+def test_score_rows_gives_the_bits_of_an_eval_forward_batch(rng, hidden, output, rows):
+    model = perturbed_model(rng, hidden, output)
+    x = rng.normal(scale=3.0, size=(rows, 5))
+    want = forward_batch(model, x)[0]
+    assert same_bits(score_rows(model, x), want)
+    # on a workspace a larger call used first, as forward_batch's is: only a
+    # prefix of each buffer is written, one buffer per layer
+    work = Workspace()
+    forward_batch(model, rng.normal(size=(600, 5)), work=work)
+    assert same_bits(score_rows(model, x, work=work), want)
+    fresh = Workspace()
+    score_rows(model, x, work=fresh)
+    assert sorted(fresh._buffers) == ["z0", "z1", "z2"]
+    # float32 rows cast exactly, as forward_batch casts them
+    x32 = x.astype(np.float32)
+    assert same_bits(score_rows(model, x32), forward_batch(model, x32)[0])
+
+
+def test_score_rows_rejects_wrong_dimension(rng):
+    model = init_glorot_normal((4, 3, 1), seed=0)
+    with pytest.raises(ShapeError):
+        score_rows(model, rng.normal(size=(2, 5)))
+    with pytest.raises(ShapeError):
+        score_rows(model, rng.normal(size=4))
 
 
 def test_traces_alias_only_on_a_shared_workspace(rng):
