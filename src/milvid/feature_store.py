@@ -15,16 +15,22 @@ numbers.
 A dataset manifest is a JSON-records file (one object per line) with fields
 ``bag_id`` (unique string), ``label`` (+1 or -1), ``path`` (feature file,
 relative to the manifest's directory) and ``split`` ("train" or "test").
+
+``read_split`` reads a split's payloads on up to one thread per CPU;
+``read_features``, which reads one file (``milvid score``'s path), stays
+on the calling thread.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import itertools
 import json
 import math
 import os
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,6 +42,9 @@ MAGIC = b"MIL1"
 _HEADER = struct.Struct("<4sII")
 
 SPLITS = ("train", "test")
+
+# read_split starts one reading thread per this many payload bytes, up to one per usable CPU
+_THREAD_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -91,7 +100,7 @@ def read_features(src: str | Path) -> FeatureMatrix:
 
 
 def read_split(paths: list[str | Path]) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Read feature files into one read-only float32 ``(R, D)`` array, file after file.
+    """Read feature files into one read-only float32 ``(R, D)`` array.
 
     Every header is read first, and text files are parsed then, so the array
     is allocated once at its final size before any MIL1 payload is read into
@@ -101,6 +110,16 @@ def read_split(paths: list[str | Path]) -> tuple[np.ndarray, list[tuple[int, int
     second. Returns the array and each file's ``(start, stop)`` rows in it.
     All files must share one dim; errors name the file, as
     ``read_features``'s do.
+
+    The second pass runs on one thread per CPU this process may use, but on
+    no more threads than the split holds 8 MiB of payload, so a split below
+    16 MiB is read on the calling thread alone. Each thread reads a
+    contiguous run of files, about an equal share of the payload bytes,
+    into its rows and checks them; the calling thread reads the first run.
+    The threads are joined before this returns or raises. The bits are
+    those of a file-after-file read, and so are the errors: a payload error
+    names the first bad file of the first run that has one, which is the
+    first bad file in ``paths``.
     """
     if not paths:
         raise ValidationError("read_split needs at least one feature file")
@@ -118,7 +137,56 @@ def read_split(paths: list[str | Path]) -> tuple[np.ndarray, list[tuple[int, int
     stops = list(itertools.accumulate(count for count, _ in shapes))
     spans = list(zip([0, *stops], stops))
     values = np.empty((stops[-1], shapes[0][1]), dtype="<f4")
-    for i, (src, (a, b)) in enumerate(zip(paths, spans)):
+    threads = max(1, min(_usable_cpus(), values.nbytes // _THREAD_BYTES))
+    runs = _runs(spans, threads)
+    errors = [None] * len(runs)  # errors[k]: what stopped run k, for k >= 1
+
+    def read_run(k: int) -> None:
+        try:
+            _read_files(paths, spans, texts, values, runs[k])
+        except BaseException as exc:  # raised below, once every run has finished
+            errors[k] = exc
+
+    started = []
+    try:
+        for k in range(1, len(runs)):
+            thread = threading.Thread(target=read_run, args=(k,))
+            thread.start()
+            started.append(thread)
+        _read_files(paths, spans, texts, values, runs[0])
+    finally:
+        for thread in started:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    values.flags.writeable = False
+    return values, spans
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _runs(spans: list[tuple[int, int]], parts: int) -> list[range]:
+    """The files, as up to ``parts`` non-empty runs of consecutive indices
+    with about equal rows each: a file goes to the run its middle row falls
+    in. The files share one dim, so rows weigh as payload bytes do."""
+    total = spans[-1][1]
+    middles = [a + b for a, b in spans]  # twice each file's middle row
+    cuts = [0, *(bisect.bisect_left(middles, 2 * total * k / parts) for k in range(1, parts)),
+            len(spans)]
+    return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+
+
+def _read_files(paths, spans, texts, values: np.ndarray, run: range) -> None:
+    """Fill the rows of the files in ``run`` from their payloads (or parsed
+    text) and check them, file after file; the first bad file raises."""
+    for i in run:
+        src, (a, b) = paths[i], spans[i]
         if i in texts:
             values[a:b] = texts[i]
             continue
@@ -128,8 +196,6 @@ def read_split(paths: list[str | Path]) -> tuple[np.ndarray, list[tuple[int, int
             _read_payload(fh, rows, src)
         if not np.isfinite(rows).all():  # the message ``read_features`` gives
             raise ValidationError(f"{src}: feature file contains non-finite values")
-    values.flags.writeable = False
-    return values, spans
 
 
 def _read_head(fh, src: str | Path) -> tuple[int, int] | FeatureMatrix:

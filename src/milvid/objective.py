@@ -51,8 +51,8 @@ def bag_maxima(
 
     The bags' rows are cast to float64 (exact), stacked in order and scored
     by one forward pass, so a train-mode pass draws the same dropout masks
-    as one pass per bag. The argmax is ``np.argmax`` per bag: the first
-    maximum wins, and so does a NaN.
+    as one pass per bag. The argmax rows are ``np.argmax``'s per bag
+    (``segment_argmax``): the first maximum wins, and so does a NaN.
     With ``work``, the stacked rows and the trace are views into the
     workspace, valid until the next call on it (see ``forward_batch``);
     ``work=None`` gives fresh arrays.
@@ -64,12 +64,21 @@ def bag_maxima(
     x = np.concatenate([bag.matrix for bag in bags],
                        out=work.get("x", (sum(map(len, bags)), bags[0].dim)))
     scores, trace = forward_batch(model, x, train=train, rng=rng, work=work)
-    rows, start = [], 0
-    for bag in bags:
-        rows.append(start + int(np.argmax(scores[start : start + len(bag)])))
-        start += len(bag)
-    rows = np.array(rows)
+    rows = segment_argmax(scores, [len(bag) for bag in bags])
     return scores[rows], rows, trace
+
+
+def segment_argmax(values: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """``np.argmax`` of each run of ``sizes`` (each >= 1) consecutive
+    ``values``, as an index into ``values``, in one pass: the run's first
+    value equal to its max wins (of 0.0 and -0.0, the first), and a NaN
+    wins over any number."""
+    if len(sizes) == 1:  # one bag (a per-video score): argmax alone, without the pass's fixed cost
+        return np.array([np.argmax(values)])
+    starts = np.cumsum([0, *sizes[:-1]])
+    peaks = np.repeat(np.maximum.reduceat(values, starts), sizes)
+    marked = np.flatnonzero((values == peaks) | np.isnan(values))
+    return marked[np.searchsorted(marked, starts)]
 
 
 def objective_gradient(

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import struct
+import threading
 import warnings
 from types import SimpleNamespace
 
@@ -172,6 +173,21 @@ def test_a_payload_handed_out_in_pieces_is_read_whole(tmp_path, rng, monkeypatch
     assert np.array_equal(read_features(paths[0]).values, matrices[0].values)
 
 
+def test_a_payload_handed_out_in_pieces_is_read_whole_on_threads(tmp_path, rng, monkeypatch):
+    matrices = [_random_matrix(rng, count, 64) for count in (40, 1, 17, 9, 30)]
+    paths = [tmp_path / f"{i}.mil1" for i in range(len(matrices))]
+    for m, path in zip(matrices, paths):
+        write_features(m, path)
+    readers = _read_on_threads(monkeypatch)
+    reads = open_in_pieces(monkeypatch, feature_store)
+    values, _ = feature_store.read_split(paths)
+    assert np.array_equal(values, np.concatenate([m.values for m in matrices]))
+    assert len(readers) > 1
+    # each payload in 4096-byte pieces and its last piece, in whatever order the threads ran
+    pieces = [[4096] * (m.values.nbytes // 4096) + [m.values.nbytes % 4096] for m in matrices]
+    assert sorted(reads) == sorted(n for p in pieces for n in p if n)
+
+
 def test_a_file_that_shrinks_between_the_passes_is_corruption(tmp_path, rng, monkeypatch):
     good, shrinking = tmp_path / "good.mil1", tmp_path / "shrinking.mil1"
     for path in (good, shrinking):
@@ -230,6 +246,109 @@ def test_no_file_descriptor_is_left_open(tmp_path, rng, name, features_error, sp
             with pytest.raises(error) as failure:  # holds the traceback, and so its frames
                 read()
         assert _open_fds() == before
+    with pytest.MonkeyPatch.context() as patch:  # each file in a run of its own, the bad one in either
+        _read_on_threads(patch)
+        for order in ([good, path], [path, good]):
+            before, threads = _open_fds(), threading.active_count()
+            if split_error is None:
+                feature_store.read_split(order)
+            else:
+                with pytest.raises(split_error) as failure:
+                    feature_store.read_split(order)
+            assert (_open_fds(), threading.active_count()) == (before, threads)
+
+
+def _read_on_threads(monkeypatch, runs: int = 3) -> list[tuple[int, list[int]]]:
+    """Make ``read_split`` read any split in up to ``runs`` runs, one thread
+    each, whatever its size and the CPU count; returns a list of (thread
+    ident, file indices) for each run read."""
+    monkeypatch.setattr(feature_store, "_THREAD_BYTES", 1)  # the floor divides: 0 would raise
+    monkeypatch.setattr(feature_store, "_usable_cpus", lambda: runs)
+    read_files, readers = feature_store._read_files, []
+
+    def recording(paths, spans, texts, values, run):
+        readers.append((threading.get_ident(), list(run)))
+        read_files(paths, spans, texts, values, run)
+
+    monkeypatch.setattr(feature_store, "_read_files", recording)
+    return readers
+
+
+def _open_recording(monkeypatch, shrink=()) -> list:
+    """Record each path ``feature_store`` opens; a path in ``shrink`` loses
+    its last 5 bytes on its second open, the payload pass's."""
+    opened = []
+
+    def open_then_shrink(src, *args, **kwargs):
+        opened.append(src)
+        if src in shrink and opened.count(src) == 2:
+            src.write_bytes(src.read_bytes()[:-5])
+        return io.open(src, *args, **kwargs)
+
+    monkeypatch.setattr(feature_store, "open", open_then_shrink, raising=False)
+    return opened
+
+
+def test_runs_split_the_payload_bytes_not_the_file_count():
+    spans = [(0, 64), *((64 + i, 65 + i) for i in range(64))]  # one 64-row file, 64 of 1 row
+    assert feature_store._runs(spans, 2) == [range(0, 1), range(1, 65)]
+    assert feature_store._runs(spans, 1) == [range(0, 65)]
+    assert feature_store._runs([(0, 0), (0, 0)], 2) == [range(0, 2)]  # nothing to share
+
+
+def test_a_split_read_on_several_threads_gives_the_one_thread_bits(tmp_path, rng, monkeypatch):
+    paths = [tmp_path / f"{i}.mil1" for i in range(7)]
+    for count, path in zip((40, 1, 0, 17, 5, 33, 2), paths):
+        write_features(_random_matrix(rng, count, 8), path)
+    paths.insert(3, tmp_path / "t.csv")
+    paths[3].write_text("\n".join(",".join(map(str, row)) for row in rng.normal(size=(3, 8))))
+    want, want_spans = feature_store.read_split(paths)
+    readers = _read_on_threads(monkeypatch)
+    threads = threading.active_count()
+    got, spans = feature_store.read_split(paths)
+    assert threading.active_count() == threads
+    assert spans == want_spans and got.tobytes() == want.tobytes() and not got.flags.writeable
+    assert sorted(i for _, run in readers for i in run) == list(range(len(paths)))
+    assert len(readers) == 3  # the calling thread reads the first run, a new thread each other
+    assert [ident == threading.get_ident() for ident, run in readers] == [0 in run for _, run in readers]
+
+
+def _spoil(path, fault: str) -> None:
+    """Make a 4x3 MIL1 file bad: ``short`` truncates it now, ``nan`` writes a
+    NaN into its payload, and ``shrunk`` is left to ``_open_recording``."""
+    if fault == "short":
+        path.write_bytes(path.read_bytes()[:-5])
+    elif fault == "nan":
+        payload = np.ones((4, 3), dtype="<f4")
+        payload[2, 1] = np.nan
+        path.write_bytes(struct.pack("<4sII", b"MIL1", 3, 4) + payload.tobytes())
+
+
+@pytest.mark.parametrize("fault", ["short", "nan", "shrunk"])
+@pytest.mark.parametrize("bad", [[3], [1, 2], [3, 4]],  # three runs of two files: 0-1, 2-3, 4-5
+                         ids=["in-run-1", "in-runs-0-and-1", "in-runs-1-and-2"])
+def test_a_threaded_read_names_the_first_bad_file_as_one_thread_does(
+    tmp_path, rng, monkeypatch, fault, bad
+):
+    paths = [tmp_path / f"{i}.mil1" for i in range(6)]
+    for path in paths:
+        write_features(_random_matrix(rng, 4, 3), path)
+    for i in bad:
+        _spoil(paths[i], fault)
+    first = paths[bad[0]]
+    message = (f"{first}: feature file contains non-finite values" if fault == "nan" else
+               f"{first}: payload size mismatch, expected 48 bytes for 4x3 float32 values, got 43")
+    readers = _read_on_threads(monkeypatch)
+    opened = _open_recording(monkeypatch, shrink=[paths[i] for i in bad] if fault == "shrunk" else [])
+    fds, threads = _open_fds(), threading.active_count()
+    with pytest.raises(ValidationError if fault == "nan" else CorruptionError,
+                       match=f"^{re.escape(message)}$") as failure:
+        feature_store.read_split(paths)
+    assert (_open_fds(), threading.active_count()) == (fds, threads)
+    if fault != "short":  # a payload fault: every run has run, up to its first bad file
+        assert sorted(run for _, run in readers) == [[0, 1], [2, 3], [4, 5]]
+        read = {i for i, path in enumerate(paths) if opened.count(path) == 2}
+        assert read == {i for i in range(6) if not any(j // 2 == i // 2 and j < i for j in bad)}
 
 
 def test_nonfinite_matrix_rejected_on_construction():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from milvid.errors import ConfigError, ValidationError
 from milvid.evaluation import score_bags
-from milvid.objective import BagLoss, bag_maxima, bag_score, objective_gradient
+from milvid.objective import BagLoss, bag_maxima, bag_score, objective_gradient, segment_argmax
 from milvid.optimizers import _BLOCK, OptimizerConfig, make_optimizer
 from milvid.scorer import (
     ACTIVATIONS, Gradients, Workspace, backward, forward_batch, init_glorot_normal,
@@ -207,6 +209,25 @@ def test_bag_maxima_breaks_ties_within_each_bag():
     assert trace.layer_inputs[0].shape == (5, 1)
     _, losses, _ = objective_gradient(value_scorer(), bags, lam=0.0)
     assert [l.argmax_index for l in losses] == [0, 0, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(segments=st.lists(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf,
+                                                   np.nan]), min_size=1, max_size=6),
+                         min_size=1, max_size=8))
+def test_segment_argmax_is_np_argmax_per_segment(segments):
+    values = np.array([v for seg in segments for v in seg])
+    want, start = [], 0
+    for seg in segments:  # the reference: one np.argmax per segment
+        want.append(start + int(np.argmax(values[start : start + len(seg)])))
+        start += len(seg)
+    assert segment_argmax(values, [len(seg) for seg in segments]).tolist() == want
+
+
+def test_segment_argmax_takes_the_first_of_a_zero_and_minus_zero_tie():
+    values = np.array([-0.0, 0.0, 0.0, -0.0, -1.0, -0.0, 0.0])
+    assert segment_argmax(values, [2, 2, 3]).tolist() == [0, 2, 5]
+    assert segment_argmax(values[:2], [2]).tolist() == [0]  # one segment: np.argmax itself
 
 
 def test_bag_maxima_takes_a_nan_like_argmax():
