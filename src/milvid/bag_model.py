@@ -10,9 +10,9 @@ A bag's instances are the rows of its read-only 2-d ``matrix``. A loaded
 split reads every feature file into one float32 array, and each of its bags
 holds a view of its own rows. A pooled bag holds float64 only where a
 segment averages rows; repeated segments keep the stored rows and their
-dtype. The math runs in float64: ``feature_matrix``,
-``objective.bag_maxima`` and ``evaluation.score_bags`` cast the rows, which
-is exact.
+dtype. The math runs in float64: ``feature_matrix`` casts one bag's rows,
+which is exact, and ``stack_rows`` casts a list of bags into one stacked
+batch for ``objective`` and ``evaluation.score_bags``.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .feature_store import FeatureMatrix, ManifestEntry, read_manifest, read_split
+from .scorer import Workspace
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +82,16 @@ class Dataset:
 
     def negatives(self) -> list[Bag]:
         return [b for b in self.bags if b.label < 0]
+
+
+def stack_rows(bags: list[Bag], work: Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """The bags' rows cast (exactly) and stacked in order into the workspace's
+    float64 ``x``, valid until the next call on ``work``, and each bag's start row."""
+    if not bags:
+        raise ValidationError("stacking rows needs at least one bag")
+    sizes = [len(bag) for bag in bags]
+    x = np.concatenate([bag.matrix for bag in bags], out=work.get("x", (sum(sizes), bags[0].dim)))
+    return x, np.cumsum([0, *sizes[:-1]])
 
 
 def assemble_bag(m: FeatureMatrix, label: int, bag_id: str) -> Bag:

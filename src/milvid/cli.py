@@ -49,7 +49,7 @@ def _load_config(path: str) -> dict:
         values = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: config file is not UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ConfigError(f"{path}: config file is not valid JSON: {exc}") from None
     if not isinstance(values, dict):
         raise ConfigError(f"{path}: config file must hold a JSON object of flag values")

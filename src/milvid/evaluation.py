@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bag_model import Bag
+from .bag_model import Bag, stack_rows
 from .errors import ValidationError
 from .scorer import ScoringModel, Workspace, score_rows
 
@@ -151,12 +151,12 @@ def score_bags(
 ) -> list[ScoredLabel]:
     """Eval-mode bag scores (max over instances) with their true labels.
 
-    Each slice of 16 bags is cast into one stacked float64 buffer and scored
-    by ``score_rows``, which keeps no trace: one buffer per layer. The
-    slice's bag maxima are one ``np.maximum.reduceat`` at the bag starts: the
-    bits ``bag_maxima`` takes at its argmax, and a NaN still wins. (Of a tie
-    between 0.0 and -0.0 ``np.maximum`` may keep either, but no score is
-    -0.0: the BLAS matmul sums from 0.0.) Every slice runs on one
+    Each slice of 16 bags is stacked into one float64 batch (``stack_rows``)
+    and scored by ``score_rows``, which keeps no trace: one buffer per layer.
+    The slice's bag maxima are one ``np.maximum.reduceat`` at the bag starts:
+    the bits ``objective.bag_maxima`` takes at its argmax, and a NaN still
+    wins. (Of a tie between 0.0 and -0.0 ``np.maximum`` may keep either, but
+    no score is -0.0: the BLAS matmul sums from 0.0.) Every slice runs on one
     workspace, ``work`` or a new one, so slices after the first reuse its
     buffers.
     """
@@ -164,13 +164,8 @@ def score_bags(
     scored = []
     for i in range(0, len(bags), _SCORE_SLICE):
         chunk = bags[i : i + _SCORE_SLICE]
-        sizes = [len(bag) for bag in chunk]
-        # the stored rows (float32 when loaded) cast straight into the stacked float64 buffer
-        x = np.concatenate([bag.matrix for bag in chunk],
-                           out=work.get("x", (sum(sizes), chunk[0].dim)))
-        scores = score_rows(model, x, work=work)
-        starts = np.cumsum([0, *sizes[:-1]])
-        maxima = np.maximum.reduceat(scores, starts)
+        x, starts = stack_rows(chunk, work)
+        maxima = np.maximum.reduceat(score_rows(model, x, work=work), starts)
         scored += zip(maxima.tolist(), (bag.label for bag in chunk))
     return scored
 

@@ -320,7 +320,7 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
                 entries.append(ManifestEntry(record["bag_id"], label, record["path"], record["split"]))
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: manifest is not UTF-8 text: {exc}") from None
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise FormatError(f"{path}: bad manifest record at line {lineno}: {exc}") from None
     _check_unique_ids(entries)
     return entries

@@ -5,6 +5,11 @@ instance score in the bag and ``Y`` its +1/-1 label; the objective is the
 mean over bags plus ``lam * 0.5 * ||W||^2`` over weight matrices (biases
 excluded). The subgradient of the max term flows only through the instance
 that attains the bag maximum; bags whose hinge is zero contribute nothing.
+
+Under a sigmoid or tanh output every bag-max hinge stays active, so the
+objective is the linear loss ``1 - Y * s``: a hinge is zero only where the
+output rounds to exactly +1 or -1 in float64 (sigmoid for a pre-activation
+z >= ~36.7, tanh for |z| >= ~19.0). Only ``identity`` can meet the margin.
 """
 
 from __future__ import annotations
@@ -13,10 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bag_model import Bag
-from .errors import ConfigError, ValidationError
+from .bag_model import Bag, stack_rows
+from .errors import ConfigError
 from .optimizers import _BLOCK
-from .scorer import ForwardTrace, Gradients, ScoringModel, Workspace, backward, forward_batch
+from .scorer import (
+    ForwardTrace, Gradients, ScoringModel, Workspace, backward, forward_batch, score_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -28,15 +35,12 @@ class BagLoss:
     hinge: float  # max(0, 1 - margin)
 
 
-def bag_score(
-    model: ScoringModel,
-    bag: Bag,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, int]:
-    """Highest instance score in the bag and the index attaining it (see ``bag_maxima``)."""
-    scores, rows, _ = bag_maxima(model, [bag], train, rng)
-    return float(scores[0]), int(rows[0])
+def bag_score(model: ScoringModel, bag: Bag) -> tuple[float, int]:
+    """Eval-mode highest instance score in the bag and the index attaining it:
+    ``score_rows``, then ``np.argmax`` (the first maximum wins, and so does a NaN)."""
+    scores = score_rows(model, bag.matrix)
+    index = int(np.argmax(scores))
+    return float(scores[index]), index
 
 
 def bag_maxima(
@@ -49,34 +53,26 @@ def bag_maxima(
 ) -> tuple[np.ndarray, np.ndarray, ForwardTrace]:
     """Each bag's highest instance score, the stacked row attaining it, and the trace.
 
-    The bags' rows are cast to float64 (exact), stacked in order and scored
-    by one forward pass, so a train-mode pass draws the same dropout masks
-    as one pass per bag. The argmax rows are ``np.argmax``'s per bag
+    The bags' rows are stacked in order (``stack_rows``) and scored by one
+    forward pass, so a train-mode pass draws the same dropout masks as one
+    pass per bag. The argmax rows are ``np.argmax``'s per bag
     (``segment_argmax``): the first maximum wins, and so does a NaN.
     With ``work``, the stacked rows and the trace are views into the
     workspace, valid until the next call on it (see ``forward_batch``);
     ``work=None`` gives fresh arrays.
     """
-    if not bags:
-        raise ValidationError("bag_maxima needs at least one bag")
     work = Workspace() if work is None else work
-    # the stored rows (float32 when loaded) cast straight into the stacked float64 buffer
-    x = np.concatenate([bag.matrix for bag in bags],
-                       out=work.get("x", (sum(map(len, bags)), bags[0].dim)))
+    x, starts = stack_rows(bags, work)
     scores, trace = forward_batch(model, x, train=train, rng=rng, work=work)
-    rows = segment_argmax(scores, [len(bag) for bag in bags])
+    rows = segment_argmax(scores, starts)
     return scores[rows], rows, trace
 
 
-def segment_argmax(values: np.ndarray, sizes: list[int]) -> np.ndarray:
-    """``np.argmax`` of each run of ``sizes`` (each >= 1) consecutive
-    ``values``, as an index into ``values``, in one pass: the run's first
-    value equal to its max wins (of 0.0 and -0.0, the first), and a NaN
-    wins over any number."""
-    if len(sizes) == 1:  # one bag (a per-video score): argmax alone, without the pass's fixed cost
-        return np.array([np.argmax(values)])
-    starts = np.cumsum([0, *sizes[:-1]])
-    peaks = np.repeat(np.maximum.reduceat(values, starts), sizes)
+def segment_argmax(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``np.argmax`` of each non-empty segment of ``values`` that ``starts``
+    begins, as an index into ``values``, in one pass: the segment's first value
+    equal to its max wins (of 0.0 and -0.0, the first), and a NaN wins over any number."""
+    peaks = np.repeat(np.maximum.reduceat(values, starts), np.diff(starts, append=len(values)))
     marked = np.flatnonzero((values == peaks) | np.isnan(values))
     return marked[np.searchsorted(marked, starts)]
 
@@ -106,12 +102,14 @@ def objective_gradient(
     if lam < 0:
         raise ConfigError(f"regularization strength must be >= 0, got {lam}")
     work = Workspace() if work is None else work
-    scores, rows, trace = bag_maxima(model, bags, train, rng, work=work)
+    x, starts = stack_rows(bags, work)
+    scores, trace = forward_batch(model, x, train=train, rng=rng, work=work)
+    rows = segment_argmax(scores, starts)
+    scores = scores[rows]
     labels = np.array([bag.label for bag in bags], dtype=np.float64)
     margins = labels * scores
     hinges = np.where(1.0 - margins > 0.0, 1.0 - margins, 0.0)  # a NaN margin gives 0
-    index = rows - np.cumsum([0] + [len(bag) for bag in bags[:-1]])
-    details = zip(scores.tolist(), index.tolist(), margins.tolist(), hinges.tolist())
+    details = zip(scores.tolist(), (rows - starts).tolist(), margins.tolist(), hinges.tolist())
     losses = [BagLoss(bag.bag_id, *d) for bag, d in zip(bags, details)]
     value = sum(hinges.tolist()) / len(bags) + lam * 0.5 * model.weight_sq_norm()
     # each bag's upstream on its argmax row: -Y/z when its hinge is active, else 0

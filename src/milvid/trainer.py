@@ -183,16 +183,16 @@ def train(
     ``cfg.out_dir`` when set: ``ckpt-NNNN.mvck`` at the configured interval,
     ``best.mvck`` whenever the validation AUC improves, and ``final.mvck``
     at the end (``load_model`` reads it). ``resume_from`` continues a run
-    from a checkpoint and reproduces the uninterrupted run bitwise.
+    from a checkpoint and reproduces the uninterrupted run bitwise. A set
+    without both classes is a ``ConfigError``, raised before any step.
     """
-    pos_bags = train_set.positives()
-    neg_bags = train_set.negatives()
-    if not pos_bags or not neg_bags:
-        raise ConfigError(
-            f"training needs both classes: {len(pos_bags)} positive, {len(neg_bags)} negative bags"
-        )
-    pos_bags = pool_bags(pos_bags, cfg.segments)
-    neg_bags = pool_bags(neg_bags, cfg.segments)
+    # the last epoch always validates, and its ROC needs both classes too
+    for what, split in (("training", train_set), ("validation split", val_set)):
+        if split is not None and not (split.positives() and split.negatives()):
+            raise ConfigError(f"{what} needs both classes: {len(split.positives())} positive, "
+                              f"{len(split.negatives())} negative bags")
+    pos_bags = pool_bags(train_set.positives(), cfg.segments)
+    neg_bags = pool_bags(train_set.negatives(), cfg.segments)
     val_bags = pool_bags(val_set.bags, cfg.segments) if val_set is not None else None
 
     out_dir = Path(cfg.out_dir) if cfg.out_dir is not None else None

@@ -513,6 +513,33 @@ def test_train_without_test_split_skips_validation(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [["train", "--out"], ["compare", "--optimizers", "sgd", "--out"]])
+def test_a_one_class_test_split_exits_one_before_any_checkpoint(tmp_path, capsys, command):
+    data = tmp_path / "data"
+    assert run_cli(capsys, *gen_args(data, pos_test=5, neg_test=0))[0] == 0
+    out = tmp_path / "out"
+    code, _, err = run_cli(
+        capsys, *command, str(out / "model.mvck"), "--manifest", str(data / "manifest.jsonl"),
+        "--epochs", "30", "--checkpoint-interval", "5", "--batch-bags", "4", "--hidden", "4",
+    )
+    assert code == 1
+    want = "validation split needs both classes: 5 positive, 0 negative bags"
+    assert err == f"milvid: error: {want}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, code", [("--manifest", 2), ("--config", 1)])
+def test_a_deeply_nested_json_file_exits_with_one_error_line(tmp_path, capsys, flag, code):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "\n")
+    argv = {"--manifest": ["train", "--manifest", str(deep), "--out", str(tmp_path / "m.mvck")],
+            "--config": [*gen_args(tmp_path / "data"), "--config", str(deep)]}[flag]
+    got, _, err = run_cli(capsys, *argv)
+    assert got == code
+    assert err.startswith("milvid: error: ") and "deep.json" in err and err.count("\n") == 1
+    assert not (tmp_path / "data").exists() and not (tmp_path / "m.mvck").exists()
+
+
+@pytest.mark.parametrize("command", [["train", "--out"], ["compare", "--optimizers", "sgd", "--out"]])
 def test_train_and_compare_parse_the_manifest_once(tmp_path, capsys, monkeypatch, command):
     data = tmp_path / "data"
     run_cli(capsys, *gen_args(data, pos_test=2, neg_test=2))

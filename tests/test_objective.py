@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from milvid.bag_model import Bag
 from milvid.errors import ConfigError, ValidationError
 from milvid.evaluation import score_bags
 from milvid.objective import BagLoss, bag_maxima, bag_score, objective_gradient, segment_argmax
@@ -215,19 +216,22 @@ def test_bag_maxima_breaks_ties_within_each_bag():
 @given(segments=st.lists(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf,
                                                    np.nan]), min_size=1, max_size=6),
                          min_size=1, max_size=8))
+@example(segments=[[1.0, np.nan, 2.5, np.nan]])  # one segment, as a per-video score has
+@example(segments=[[-0.0, 0.0, 2.5, 2.5]])
 def test_segment_argmax_is_np_argmax_per_segment(segments):
     values = np.array([v for seg in segments for v in seg])
+    starts = np.cumsum([0, *(len(seg) for seg in segments[:-1])])
     want, start = [], 0
     for seg in segments:  # the reference: one np.argmax per segment
         want.append(start + int(np.argmax(values[start : start + len(seg)])))
         start += len(seg)
-    assert segment_argmax(values, [len(seg) for seg in segments]).tolist() == want
+    assert segment_argmax(values, starts).tolist() == want
 
 
 def test_segment_argmax_takes_the_first_of_a_zero_and_minus_zero_tie():
     values = np.array([-0.0, 0.0, 0.0, -0.0, -1.0, -0.0, 0.0])
-    assert segment_argmax(values, [2, 2, 3]).tolist() == [0, 2, 5]
-    assert segment_argmax(values[:2], [2]).tolist() == [0]  # one segment: np.argmax itself
+    assert segment_argmax(values, np.array([0, 2, 4])).tolist() == [0, 2, 5]
+    assert segment_argmax(values[:2], np.array([0])).tolist() == [0]  # one segment
 
 
 def test_bag_maxima_takes_a_nan_like_argmax():
@@ -238,14 +242,22 @@ def test_bag_maxima_takes_a_nan_like_argmax():
     assert losses[1].argmax_index == 1 and losses[1].hinge == 0.0
 
 
-@pytest.mark.parametrize("train", [False, True])
-def test_bag_score_is_bag_maxima_of_one_bag(rng, train):
-    model = init_glorot_normal((6, 5, 1), seed=1, dropout_rate=0.6)
-    bag = make_bag(rng.normal(size=(4, 6)), 1)
-    rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
-    scores, rows, _ = bag_maxima(model, [bag], train=train, rng=rng_b)
-    assert bag_score(model, bag, train=train, rng=rng_a) == (float(scores[0]), int(rows[0]))
-    assert rng_a.random() == rng_b.random()  # both drew the same masks
+def test_bag_score_is_bag_maxima_and_score_bags_of_one_bag(rng):
+    dense = init_glorot_normal((6, 5, 3, 1), seed=1)
+    dense.theta[:] += rng.normal(scale=0.3, size=dense.theta.size)
+    exact = value_scorer()
+    cases = [(exact, make_bag(rows, 1)) for rows in (
+        [0.5], [0.2, 0.9, 0.9, 0.1], [0.1, np.nan, 0.9, np.nan], [np.nan, 0.3], [-3.0, -3.0],
+        [np.inf, 1.0, np.inf], [-np.inf])]  # one clip, ties, NaNs, infinities
+    cases += [(dense, make_bag(rng.normal(size=(n, 6)), -1)) for n in (1, 4, 33)]
+    cases.append((dense, make_bag(np.repeat(rng.normal(size=(1, 6)), 3, axis=0), 1)))  # tied rows
+    cases.append((dense, Bag("f32", 1, rng.normal(size=(5, 6)).astype(np.float32))))  # as loaded
+    for model, bag in cases:
+        score, index = bag_score(model, bag)
+        scores, rows, _ = bag_maxima(model, [bag])
+        assert same_bits(np.float64(score), scores[0]) and index == rows[0]
+        [(top, label)] = score_bags(model, [bag])
+        assert same_bits(np.float64(score), np.float64(top)) and label == bag.label
 
 
 def test_bag_maxima_of_no_bags_is_a_validation_error():

@@ -70,6 +70,18 @@ def test_training_needs_both_classes(tmp_path):
         train(positives_only, tiny_config())
 
 
+@pytest.mark.parametrize("n_pos_test, n_neg_test", [(5, 0), (0, 5)])
+def test_a_one_class_validation_split_is_refused_before_any_step(tmp_path, n_pos_test, n_neg_test):
+    train_set, val_set = tiny_dataset(tmp_path, n_pos_test=n_pos_test, n_neg_test=n_neg_test)
+    out = tmp_path / "run"
+    cfg = tiny_config(epochs=4, checkpoint_interval=1, out_dir=out)
+    with pytest.raises(ConfigError, match=f"{n_pos_test} positive, {n_neg_test} negative"):
+        train(train_set, cfg, val_set=val_set)
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="validation split"):
+        compare_optimizers(train_set, cfg, ["sgd"], val_set)
+
+
 def test_identical_runs_are_bitwise_identical(tmp_path):
     train_set, val_set = tiny_dataset(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
